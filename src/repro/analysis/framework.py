@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.terms import Term
     from ..syntax.parser import SpanTable
     from .inference import InstrumentedRun
+    from .syntactic import Scopes
 
 #: The registration groups, in execution order.
 GROUPS = ("syntactic", "inference")
@@ -77,6 +78,7 @@ class LintContext:
     _inference: "InstrumentedRun | None | bool" = field(
         default=False, repr=False, compare=False
     )
+    _scopes: "Scopes | None" = field(default=None, repr=False, compare=False)
 
     def span_of(self, node: "Term") -> Span | None:
         """The source span of ``node``, when the parser recorded one."""
@@ -93,6 +95,16 @@ class LintContext:
         memoised = self._inference
         assert not isinstance(memoised, bool)
         return memoised
+
+    def scopes(self) -> "Scopes":
+        """The shared scope resolution of the term (memoised): which
+        binder each variable occurrence resolves to, one linear walk
+        for every pass that asks."""
+        if self._scopes is None:
+            from .syntactic import resolve_scopes
+
+            self._scopes = resolve_scopes(self.term)
+        return self._scopes
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,22 @@ These passes run one *instrumented* Figure 16 inference over the term
 :class:`~repro.core.infer.Inferencer` subclass records the type of
 every ``~x`` occurrence and every value-restriction demotion (through
 the :meth:`~repro.core.infer.Inferencer.note_generalisation` hook) as
-the run proceeds.  The redundant-annotation pass additionally re-infers
-the term once per annotation with that annotation erased, comparing
-principal types up to alpha-equivalence.
+the run proceeds.
+
+The redundant-annotation pass asks, per annotation, whether erasing it
+leaves the program's principal type unchanged up to alpha-equivalence.
+Inference is principal, so in a top-level ``let`` chain whose bindings
+so far all have *closed* types (no free flexible variables), the rest
+of the program sees a definition only through its binding type: the
+definition is inferred once, on its own, and nothing else links it to
+what follows.  An annotation on or inside such a definition is decided
+by re-inferring that definition alone, in the environment restricted
+to its free variables -- linear work over the whole chain.  The
+whole-program probe (erase, re-infer the whole term) still decides
+when that local answer is not conclusive: the definition's type
+changed (the program's may not have), the annotation sits in ``main``
+or past a binding with an open type, or the session sets a fuel/depth
+budget (whole-run quantities a local run cannot account for).
 
 They only run under the ``freezeml`` engine -- they drive its
 inferencer directly -- and they degrade to silence whenever a probe
@@ -18,8 +31,10 @@ a lint must never fail a check, and "the probe failed" exactly means
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterator
 
+from ..core.env import TypeEnv
 from ..core.infer import Inferencer, InferenceResult, infer_raw, normalise_type
 from ..core.terms import (
     App,
@@ -29,15 +44,15 @@ from ..core.terms import (
     Let,
     LetAnn,
     Term,
+    free_vars,
     subterms,
 )
-from ..core.types import TForall, Type, alpha_equal, format_type
+from ..core.types import TForall, Type, alpha_equal, format_type, ftv_set
 from ..diagnostics import Diagnostic
 from ..errors import FreezeMLError
-from ..names import display_names
+from ..names import display_names, is_flexible_name
 from ..syntax.pretty import pretty_type
 from .framework import LintContext, lint_pass, warning
-from .syntactic import lam_bound_freezes
 
 #: Upper bound on redundant-annotation probe runs per lint (each probe
 #: is one full inference).  Programs with more annotations get the
@@ -161,42 +176,157 @@ def _erase_annotation(term: Term, target: Term) -> Term:
     return term
 
 
+def _described(node: Term) -> str | None:
+    """How an FML410 message names an annotated node; ``None`` for
+    nodes that carry no user-written annotation."""
+    if isinstance(node, LamAnn):
+        return f"parameter `{node.param}`"
+    if isinstance(node, LetAnn) and not node.var.startswith("%"):
+        return f"binding `{node.var}`"
+    return None
+
+
+def _binding_probe(binding: Let | LetAnn, bound: Term) -> Let | LetAnn:
+    """``let x = M in ~x`` (an annotated binding keeps its annotation):
+    the frozen ``x`` has exactly the type the binding gives ``x``."""
+    if isinstance(binding, LetAnn):
+        return LetAnn(binding.var, binding.ann, bound, FrozenVar(binding.var))
+    return Let(binding.var, bound, FrozenVar(binding.var))
+
+
+def _binding_type(
+    ctx: LintContext, spine_env: dict[str, Type], probe: Let | LetAnn
+) -> Type | None:
+    """The binding type ``probe`` infers, or ``None`` when it fails.
+
+    The environment is the session's, overlaid with the spine bindings
+    before this one, restricted to the free variables of the bound
+    term: ``infer_raw`` still checks scoping and environment
+    well-formedness, but over O(|bound|) entries rather than the whole
+    program's."""
+    entries = []
+    for name in free_vars(probe.bound):
+        ty = spine_env.get(name)
+        if ty is None:
+            ty = ctx.env.get(name)
+        if ty is not None:
+            entries.append((name, ty))
+    try:
+        return infer_raw(
+            probe,
+            TypeEnv(entries),
+            ctx.delta,
+            strategy=ctx.strategy,
+            value_restriction=ctx.value_restriction,
+        ).ty
+    except (FreezeMLError, RecursionError):
+        return None
+
+
+def _is_closed(ty: Type) -> bool:
+    """No free flexible variables: nothing links the binding's own
+    inference to the rest of the program but this type."""
+    return not any(is_flexible_name(var) for var in ftv_set(ty))
+
+
 @lint_pass("redundant-annotation", group="inference", codes=("FML410",))
 def redundant_annotation(ctx: LintContext) -> Iterator[Diagnostic]:
     """``FML410``: erasing the annotation infers an alpha-equal type.
 
-    The probe re-infers the whole term (annotations act at a distance
-    through generalisation and scoped type variables, so a local test
-    would be unsound); a failing probe means the annotation carries
-    real typing information and is skipped silently.
+    The rule is whole-program: erase the annotation, re-infer the whole
+    term, compare principal types up to alpha-equivalence; a failing
+    probe means the annotation carries real typing information and is
+    skipped silently.  Most annotations are decided per definition
+    instead, walking the top-level ``let`` spine once:
+
+    * each spine binding's type is inferred from ``let x = M in ~x`` in
+      the spine environment, and the walk stops at the first binding
+      whose type has free flexible variables (or fails to infer);
+    * while every binding so far is *closed*, the rest of the program
+      sees binding ``x`` only through its principal binding type, so
+      for an annotation on or inside ``M``: if ``M`` stops typechecking
+      without it, so does the whole program (skip); if the binding
+      type is alpha-equal to the original (so closed too), so is the
+      program's (warn);
+    * otherwise -- the binding type changed (the program's type may
+      still not), or the annotation is in ``main`` or past an open
+      binding, or a fuel/depth budget is set (both are whole-run
+      quantities) -- the whole-program probe decides, as above.
     """
     run = ctx.inference()
     if run is None:
         return
     base_ty = normalise_type(run.result.ty)
+    pending = min(
+        sum(1 for node in subterms(ctx.term) if _described(node) is not None),
+        MAX_ANNOTATION_PROBES,
+    )
     probes = 0
-    for node in subterms(ctx.term):
-        if isinstance(node, LamAnn):
-            described = f"parameter `{node.param}`"
-        elif isinstance(node, LetAnn) and not node.var.startswith("%"):
-            described = f"binding `{node.var}`"
-        else:
+
+    def finding(node: LamAnn | LetAnn, described: str) -> Diagnostic:
+        return warning(
+            "FML410",
+            f"annotation `{format_type(node.ann)}` on {described} is "
+            "redundant: the same type is inferred without it",
+            ctx.span_of(node),
+            hint="drop the annotation",
+        )
+
+    def whole_program_agrees(node: Term) -> bool:
+        try:
+            probe = _infer(ctx, _erase_annotation(ctx.term, node))
+        except (FreezeMLError, RecursionError):
+            return False
+        return alpha_equal(normalise_type(probe.ty), base_ty)
+
+    spine = ctx.term
+    spine_env: dict[str, Type] = {}
+    while (
+        probes < pending
+        and ctx.budget is None
+        and isinstance(spine, (Let, LetAnn))
+    ):
+        binding = spine
+        binding_ty = _binding_type(
+            ctx, spine_env, _binding_probe(binding, binding.bound)
+        )
+        if binding_ty is None or not _is_closed(binding_ty):
+            break
+        for node in chain((binding,), subterms(binding.bound)):
+            described = _described(node)
+            if described is None:
+                continue
+            if probes >= MAX_ANNOTATION_PROBES:
+                return
+            probes += 1
+            if node is binding:
+                erased: Let | LetAnn = Let(
+                    binding.var, binding.bound, FrozenVar(binding.var)
+                )
+            else:
+                erased = _binding_probe(
+                    binding, _erase_annotation(binding.bound, node)
+                )
+            erased_ty = _binding_type(ctx, spine_env, erased)
+            if erased_ty is None:
+                continue
+            # Alpha-equal to a closed type means closed too.
+            if alpha_equal(erased_ty, binding_ty) or whole_program_agrees(node):
+                assert isinstance(node, (LamAnn, LetAnn))
+                yield finding(node, described)
+        spine_env[binding.var] = binding_ty
+        spine = binding.body
+
+    for node in subterms(spine):
+        described = _described(node)
+        if described is None:
             continue
         if probes >= MAX_ANNOTATION_PROBES:
             return
         probes += 1
-        try:
-            probe = _infer(ctx, _erase_annotation(ctx.term, node))
-        except (FreezeMLError, RecursionError):
-            continue
-        if alpha_equal(normalise_type(probe.ty), base_ty):
-            yield warning(
-                "FML410",
-                f"annotation `{format_type(node.ann)}` on {described} is "
-                "redundant: the same type is inferred without it",
-                ctx.span_of(node),
-                hint="drop the annotation",
-            )
+        if whole_program_agrees(node):
+            assert isinstance(node, (LamAnn, LetAnn))
+            yield finding(node, described)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +343,7 @@ def redundant_freeze(ctx: LintContext) -> Iterator[Diagnostic]:
     run = ctx.inference()
     if run is None:
         return
-    covered = lam_bound_freezes(ctx.term)
+    covered = ctx.scopes().lam_bound_freezes
     solver = run.result.solver
     for node, ty in run.recorder.frozen:
         if node.name.startswith("%") or id(node) in covered:

@@ -4,6 +4,11 @@ These need no solver state, so they run under every engine and still
 apply when the program fails to typecheck -- ``repro lint`` on an
 ill-typed file reports the type error *and* the syntactic findings.
 
+The binder rules (``FML401``-``FML403``, ``FML406``, and ``FML411``'s
+exemption) all read one memoised scope resolution
+(:meth:`LintContext.scopes`), a single linear walk that resolves every
+variable occurrence to its binder.
+
 All passes skip machine-generated ``%tmpN`` binders (the ``$``/``@``
 sugar of Section 2 expands through them): they are not user-written
 names, and their counter values depend on process history, which would
@@ -22,7 +27,7 @@ from ..core.terms import (
     Let,
     LetAnn,
     Term,
-    free_vars,
+    Var,
     subterms,
 )
 from ..core.types import TCon, TForall, Type, format_type, ftv_set
@@ -35,38 +40,116 @@ def _is_sugar_name(name: str) -> bool:
     return name.startswith("%")
 
 
-@lint_pass("unused-let", group="syntactic", codes=("FML401",))
-def unused_let(ctx: LintContext) -> Iterator[Diagnostic]:
+class _Binder:
+    """One binder occurrence on the resolver's stack: its node, the
+    name it binds, whether a variable resolved to it, and whether its
+    scope is open yet (a ``let`` opens only after its bound term)."""
+
+    __slots__ = ("node", "name", "used", "entered")
+
+    def __init__(self, node: Term, name: str) -> None:
+        self.node = node
+        self.name = name
+        self.used = False
+        self.entered = False
+
+
+class Scopes:
+    """The outcome of one scope-resolution walk (see :func:`resolve_scopes`)."""
+
+    __slots__ = ("unused", "shadowing", "lam_bound_freezes")
+
+    def __init__(
+        self,
+        unused: list[Term],
+        shadowing: list[Term],
+        lam_bound_freezes: frozenset[int],
+    ) -> None:
+        #: binder occurrences no variable resolves to.
+        self.unused = unused
+        #: binder occurrences re-using the name of an enclosing in-term
+        #: binder (prelude constants do not count).
+        self.shadowing = shadowing
+        #: identities of ``FrozenVar`` nodes whose innermost binder is
+        #: an unannotated lambda (shared with the inference passes:
+        #: ``FML411`` must not double-report what ``FML406`` covers).
+        self.lam_bound_freezes = lam_bound_freezes
+
+
+def resolve_scopes(term: Term) -> Scopes:
+    """Resolve every ``Var``/``FrozenVar`` to its innermost in-term
+    binder in one pre-order walk with an explicit stack.
+
+    ``scope`` maps each name to the stack of its open binders, so a
+    lookup and a binder's entry and exit are O(1): the walk is linear
+    in the term, however deep its ``let`` chain.  A ``let``'s bound term
+    sees the *outer* scope; only its body is in the binder's scope.
+    """
+    scope: dict[str, list[_Binder]] = {}
+    unused: list[Term] = []
+    shadowing: list[Term] = []
+    lam_bound: set[int] = set()
+    stack: list[Term | _Binder] = [term]
+
+    def enter(binder: _Binder, body: Term) -> None:
+        frames = scope.setdefault(binder.name, [])
+        if frames:
+            shadowing.append(binder.node)
+        frames.append(binder)
+        binder.entered = True
+        stack.append(binder)  # popped again on leaving the scope
+        stack.append(body)
+
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Binder):
+            if not item.entered:
+                assert isinstance(item.node, (Let, LetAnn))
+                enter(item, item.node.body)
+                continue
+            scope[item.name].pop()
+            if not item.used:
+                unused.append(item.node)
+        elif isinstance(item, (Var, FrozenVar)):
+            frames = scope.get(item.name)
+            if frames:
+                innermost = frames[-1]
+                innermost.used = True
+                if isinstance(item, FrozenVar) and type(innermost.node) is Lam:
+                    lam_bound.add(id(item))
+        elif isinstance(item, (Lam, LamAnn)):
+            enter(_Binder(item, item.param), item.body)
+        elif isinstance(item, App):
+            stack.append(item.arg)
+            stack.append(item.fn)
+        elif isinstance(item, (Let, LetAnn)):
+            stack.append(_Binder(item, item.var))
+            stack.append(item.bound)
+    return Scopes(unused, shadowing, frozenset(lam_bound))
+
+
+@lint_pass("unused-binding", group="syntactic", codes=("FML401", "FML402"))
+def unused_binding(ctx: LintContext) -> Iterator[Diagnostic]:
     """``FML401``: a ``let`` binding (including a desugared top-level
-    ``def``) whose body never mentions the bound variable."""
-    for node in subterms(ctx.term):
-        if not isinstance(node, (Let, LetAnn)):
-            continue
-        if _is_sugar_name(node.var):
-            continue
-        if node.var not in free_vars(node.body):
-            yield warning(
-                "FML401",
-                f"let binding `{node.var}` is never used",
-                ctx.span_of(node),
-                hint="remove the binding, or use it in the body",
-            )
-
-
-@lint_pass("unused-param", group="syntactic", codes=("FML402",))
-def unused_param(ctx: LintContext) -> Iterator[Diagnostic]:
-    """``FML402``: a lambda parameter the body never mentions."""
-    for node in subterms(ctx.term):
-        if not isinstance(node, (Lam, LamAnn)):
-            continue
-        if _is_sugar_name(node.param):
-            continue
-        if node.param not in free_vars(node.body):
-            yield warning(
-                "FML402",
-                f"lambda parameter `{node.param}` is never used",
-                ctx.span_of(node),
-            )
+    ``def``) whose body never mentions the bound variable.
+    ``FML402``: a lambda parameter the body never mentions."""
+    for node in ctx.scopes().unused:
+        if isinstance(node, (Let, LetAnn)):
+            if not _is_sugar_name(node.var):
+                yield warning(
+                    "FML401",
+                    f"let binding `{node.var}` is never used",
+                    ctx.span_of(node),
+                    hint="remove the binding, or use it in the body",
+                )
+        else:
+            assert isinstance(node, (Lam, LamAnn))
+            if not _is_sugar_name(node.param):
+                yield warning(
+                    "FML402",
+                    f"lambda parameter `{node.param}` is never used",
+                    ctx.span_of(node),
+                )
 
 
 @lint_pass("shadowing", group="syntactic", codes=("FML403",))
@@ -77,50 +160,24 @@ def shadowing(ctx: LintContext) -> Iterator[Diagnostic]:
     (``id``, ``choose``, ...) is deliberate in half the paper's
     examples and would be pure noise.
     """
-    findings: list[Diagnostic] = []
-
-    def visit(term: Term, scope: frozenset[str]) -> None:
-        if isinstance(term, (Lam, LamAnn)):
-            if term.param in scope and not _is_sugar_name(term.param):
-                findings.append(
-                    warning(
-                        "FML403",
-                        f"lambda parameter `{term.param}` shadows an "
-                        "enclosing binding of the same name",
-                        ctx.span_of(term),
-                    )
+    for node in ctx.scopes().shadowing:
+        if isinstance(node, (Lam, LamAnn)):
+            if not _is_sugar_name(node.param):
+                yield warning(
+                    "FML403",
+                    f"lambda parameter `{node.param}` shadows an "
+                    "enclosing binding of the same name",
+                    ctx.span_of(node),
                 )
-            visit(term.body, scope | {term.param})
-        elif isinstance(term, (Let, LetAnn)):
-            # The bound term sees the *outer* scope; only the body is
-            # in the new binder's scope.
-            visit(term.bound, scope)
-            if term.var in scope and not _is_sugar_name(term.var):
-                findings.append(
-                    warning(
-                        "FML403",
-                        f"let binding `{term.var}` shadows an enclosing "
-                        "binding of the same name",
-                        ctx.span_of(term),
-                    )
-                )
-            visit(term.body, scope | {term.var})
         else:
-            for child in _children(term):
-                visit(child, scope)
-
-    visit(ctx.term, frozenset())
-    yield from findings
-
-
-def _children(term: Term) -> tuple[Term, ...]:
-    if isinstance(term, (Lam, LamAnn)):
-        return (term.body,)
-    if isinstance(term, (Let, LetAnn)):
-        return (term.bound, term.body)
-    if isinstance(term, App):
-        return (term.fn, term.arg)
-    return ()
+            assert isinstance(node, (Let, LetAnn))
+            if not _is_sugar_name(node.var):
+                yield warning(
+                    "FML403",
+                    f"let binding `{node.var}` shadows an enclosing "
+                    "binding of the same name",
+                    ctx.span_of(node),
+                )
 
 
 @lint_pass("duplicate-definition", group="syntactic", codes=("FML404",))
@@ -177,38 +234,13 @@ def unused_quantifier(ctx: LintContext) -> Iterator[Diagnostic]:
             )
 
 
-def lam_bound_freezes(term: Term) -> frozenset[int]:
-    """Identities of ``FrozenVar`` nodes whose binder is an unannotated
-    lambda (shared with the inference passes: ``FML411`` must not
-    double-report what ``FML406`` already covers)."""
-    found: list[int] = []
-
-    def visit(node: Term, lam_bound: frozenset[str]) -> None:
-        if isinstance(node, FrozenVar):
-            if node.name in lam_bound:
-                found.append(id(node))
-        elif isinstance(node, Lam):
-            visit(node.body, lam_bound | {node.param})
-        elif isinstance(node, LamAnn):
-            visit(node.body, lam_bound - {node.param})
-        elif isinstance(node, (Let, LetAnn)):
-            visit(node.bound, lam_bound)
-            visit(node.body, lam_bound - {node.var})
-        else:
-            for child in _children(node):
-                visit(child, lam_bound)
-
-    visit(term, frozenset())
-    return frozenset(found)
-
-
 @lint_pass("frozen-monomorphic-param", group="syntactic", codes=("FML406",))
 def frozen_monomorphic_param(ctx: LintContext) -> Iterator[Diagnostic]:
     """``FML406``: ``~x`` where ``x`` is bound by an *unannotated*
     lambda.  Such a parameter is kind-``mono`` (the "never guess
     polymorphism" invariant of Section 3.2), so the freeze cannot
     suppress any instantiation -- there is no polymorphism to keep."""
-    frozen = lam_bound_freezes(ctx.term)
+    frozen = ctx.scopes().lam_bound_freezes
     for node in subterms(ctx.term):
         if isinstance(node, FrozenVar) and id(node) in frozen:
             yield warning(

@@ -217,16 +217,23 @@ def match_instantiate(term: Term) -> Term | None:
 
 
 def subterms(term: Term) -> Iterator[Term]:
-    """All subterms including the term itself, pre-order."""
-    yield term
-    if isinstance(term, (Lam, LamAnn)):
-        yield from subterms(term.body)
-    elif isinstance(term, App):
-        yield from subterms(term.fn)
-        yield from subterms(term.arg)
-    elif isinstance(term, (Let, LetAnn)):
-        yield from subterms(term.bound)
-        yield from subterms(term.body)
+    """All subterms including the term itself, pre-order.
+
+    An explicit worklist: one generator frame however deep the term
+    (children are pushed right-to-left so they pop left-to-right).
+    """
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Lam, LamAnn)):
+            stack.append(node.body)
+        elif isinstance(node, App):
+            stack.append(node.arg)
+            stack.append(node.fn)
+        elif isinstance(node, (Let, LetAnn)):
+            stack.append(node.body)
+            stack.append(node.bound)
 
 
 def free_vars(term: Term) -> frozenset[str]:

@@ -27,6 +27,7 @@ from repro.core.terms import (
     Lam,
     LamAnn,
     Let,
+    LetAnn,
     Term,
     Var,
     generalise,
@@ -187,3 +188,68 @@ def _frozen_or_generalised_polyid(depth: int, env):
             lambda xs: App(Var("head"), xs), _term_of(IDS, depth, env)
         ),
     )
+
+
+@st.composite
+def let_chains(draw, max_defs: int = 5):
+    """Draw a top-level ``let`` chain over the type universe.
+
+    Definitions are optionally annotated (``let (d : A) = M``, or an
+    annotated parameter), and one shape is the value-restricted
+    ``id id``, whose binding type keeps a free flexible variable, so
+    later definitions can sit past an open binding.  Annotations are
+    drawn to agree with their definition most of the time, but not
+    always: an ill-typed chain is a legitimate input too.
+    """
+    scope: dict[str, str] = {}  # closed definitions usable by _term_of
+    open_names: list[str] = []
+    chain: list[tuple[str, Term, str | None]] = []
+    for i in range(draw(st.integers(1, max_defs))):
+        name = f"d{i}"
+        shape = draw(st.sampled_from(("term", "fun", "open", "through")))
+        if shape == "through" and not open_names:
+            shape = "open"
+        ann: str | None = None
+        tag: str | None
+        bound: Term
+        if shape == "term":
+            tag = draw(st.sampled_from(UNIVERSE))
+            bound = draw(_term_of(tag, 2, dict(scope)))
+            pick = draw(st.integers(0, 7))
+            if pick == 7:
+                ann = draw(st.sampled_from(UNIVERSE))
+            elif pick >= 4:
+                ann = tag
+        elif shape == "fun":
+            if draw(st.booleans()):
+                bound = Lam("x", Var("x"))
+                ann = draw(st.sampled_from((None, INT2INT, POLY_ID)))
+            else:
+                bound = LamAnn("x", surface_type(INT), Var("x"))
+                ann = draw(st.sampled_from((None, INT2INT)))
+            tag = POLY_ID if ann in (None, POLY_ID) and isinstance(bound, Lam) else INT2INT
+        elif shape == "open":
+            bound = App(Var("id"), Var("id"))
+            ann = draw(st.sampled_from((None, None, INT2INT)))
+            tag = INT2INT if ann else None
+        else:
+            through = draw(st.sampled_from(open_names))
+            bound = Lam("y", App(Var(through), Var("y")))
+            ann = draw(st.sampled_from((None, INT2INT)))
+            tag = INT2INT if ann else None
+        chain.append((name, bound, ann))
+        if tag is None:
+            open_names.append(name)
+        else:
+            scope[name] = tag
+    if scope and draw(st.booleans()):
+        main: Term = Var(draw(st.sampled_from(sorted(scope))))
+    else:
+        main = draw(_term_of(draw(st.sampled_from(UNIVERSE)), 1, dict(scope)))
+    term = main
+    for name, bound, ann in reversed(chain):
+        if ann is None:
+            term = Let(name, bound, term)
+        else:
+            term = LetAnn(name, surface_type(ann), bound, term)
+    return term

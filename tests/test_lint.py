@@ -17,25 +17,38 @@ The acceptance bar, per rule and per layer:
 from __future__ import annotations
 
 import json
+import sys
 import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.analysis.inference as lint_inference
 from repro.analysis import GROUPS, LintContext, all_passes, run_lint
+from repro.analysis.inference import MAX_ANNOTATION_PROBES, redundant_annotation
 from repro.api import Session
+from repro.core.infer import ELIMINATOR, VARIABLE, infer_raw, normalise_type
+from repro.core.kinds import KindEnv
+from repro.core.terms import App, Lam, LamAnn, Let, LetAnn, Term, subterms
+from repro.core.types import alpha_equal, format_type
 from repro.cli import parse_check_args, run_check
 from repro.diagnostics import Severity
 from repro.errors import (
     INFERENCE_WARNING_CODES,
     SYNTACTIC_WARNING_CODES,
     WARNING_CODES,
+    FreezeMLError,
     is_warning_code,
 )
 from repro.service import CheckRequest, SessionConfig, TypecheckService
+from tests.freezeml_strategies import let_chains
+from tests.helpers import PRELUDE
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "lint_examples.json"
+CHAIN = Path(__file__).resolve().parent / "golden" / "lint_chain.fml"
 
 
 def lint(source: str, **session_kwargs) -> list:
@@ -227,6 +240,231 @@ class TestInferenceRules:
         for d in lint(source):
             assert "%" not in d.message, d.message
             assert "%" not in d.hint, d.hint
+
+
+@pytest.fixture
+def recursion_headroom():
+    """Room for the 200-definition chains below whatever limit the run
+    was started with (CI runs the suite at 800): the unbudgeted check
+    recurses a few frames per definition, and a degraded FML912 check
+    is not what these tests are about."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def _tree(term: Term) -> Term:
+    """``term`` rebuilt with no binder node shared between positions
+    (the hypothesis strategies reuse ``st.just`` nodes, and annotation
+    erasure matches nodes by identity)."""
+    if isinstance(term, Lam):
+        return Lam(term.param, _tree(term.body))
+    if isinstance(term, LamAnn):
+        return LamAnn(term.param, term.ann, _tree(term.body))
+    if isinstance(term, App):
+        return App(_tree(term.fn), _tree(term.arg))
+    if isinstance(term, Let):
+        return Let(term.var, _tree(term.bound), _tree(term.body))
+    if isinstance(term, LetAnn):
+        return LetAnn(term.var, term.ann, _tree(term.bound), _tree(term.body))
+    return term
+
+
+def _erased(term: Term, target: Term) -> Term:
+    """``term`` with the annotation on ``target`` dropped."""
+    if term is target:
+        if isinstance(term, LamAnn):
+            return Lam(term.param, term.body)
+        assert isinstance(term, LetAnn)
+        return Let(term.var, term.bound, term.body)
+    if isinstance(term, (Lam, LamAnn)):
+        body = _erased(term.body, target)
+        if isinstance(term, Lam):
+            return Lam(term.param, body)
+        return LamAnn(term.param, term.ann, body)
+    if isinstance(term, App):
+        return App(_erased(term.fn, target), _erased(term.arg, target))
+    if isinstance(term, Let):
+        return Let(term.var, _erased(term.bound, target), _erased(term.body, target))
+    if isinstance(term, LetAnn):
+        return LetAnn(
+            term.var, term.ann, _erased(term.bound, target), _erased(term.body, target)
+        )
+    return term
+
+
+def _whole_program_fml410(ctx: LintContext) -> list[str]:
+    """The whole-program rule, independently: erase each annotation in
+    pre-order (up to the probe cap), re-infer the whole term, flag it
+    when the normalised type is alpha-equal to the original."""
+
+    def infer(term: Term):
+        return normalise_type(
+            infer_raw(
+                term,
+                ctx.env,
+                ctx.delta,
+                strategy=ctx.strategy,
+                value_restriction=ctx.value_restriction,
+                budget=ctx.budget,
+            ).ty
+        )
+
+    try:
+        base = infer(ctx.term)
+    except FreezeMLError:
+        return []
+    flagged: list[str] = []
+    annotated = [
+        node
+        for node in subterms(ctx.term)
+        if isinstance(node, LamAnn)
+        or (isinstance(node, LetAnn) and not node.var.startswith("%"))
+    ]
+    for node in annotated[:MAX_ANNOTATION_PROBES]:
+        try:
+            same = alpha_equal(infer(_erased(ctx.term, node)), base)
+        except FreezeMLError:
+            continue
+        if same:
+            owner = (
+                f"parameter `{node.param}`"
+                if isinstance(node, LamAnn)
+                else f"binding `{node.var}`"
+            )
+            flagged.append(
+                f"annotation `{format_type(node.ann)}` on {owner} is "
+                "redundant: the same type is inferred without it"
+            )
+    return flagged
+
+
+def _closed_chain(defs: int = 200) -> str:
+    """A closed ``sig``/``def`` chain: every binding type is closed, and
+    each of its 63 annotations is redundant (under the probe cap)."""
+    lines = ["sig d0 : Int -> Int", "def d0 x = x + 1"]
+    for i in range(1, defs):
+        prev = f"d{i - 1}"
+        if i % 8 == 0:
+            lines += [f"sig d{i} : Int -> Int", f"def d{i} x = {prev} (x + 1)"]
+        elif i % 16 == 4:
+            lines.append(f"def d{i} = fun (y : Int) -> {prev} y")
+        else:
+            lines.append(f"def d{i} x = {prev} x")
+    lines.append(f"main = d{defs - 1} 1")
+    return "\n".join(lines) + "\n"
+
+
+class TestRedundantAnnotationLocality:
+    """FML410 decides most annotations per definition; each side of the
+    local / whole-program choice keeps the whole-program verdict."""
+
+    def test_local_type_differs_but_program_type_matches(self):
+        # Erased, `g` is `forall a. a -> a`, not `Int -> Int`; the
+        # whole-program probe still sees `Int` for `g 1`.
+        assert "FML410" in codes(lint("let (g : Int -> Int) = fun x -> x in g 1"))
+
+    def test_annotation_past_an_open_binding_stays_quiet(self):
+        # `r` keeps a free flexible variable; the annotation is what
+        # fixes it to Int, so erasing it changes the program's type.
+        source = "let r = id id in let (f : Int -> Int) = fun x -> r x in f"
+        assert "FML410" not in codes(lint(source))
+
+    def test_annotation_in_main_is_flagged(self):
+        assert "FML410" in codes(lint("let a = 1 in (fun (x : Int) -> x) a"))
+
+    @pytest.mark.parametrize(
+        "source, flagged",
+        [
+            ("let (g : Int -> Int) = fun x -> x in g 1", True),
+            ("let r = id id in let (f : Int -> Int) = fun x -> r x in f", False),
+            ("let a = 1 in (fun (x : Int) -> x) a", True),
+            ("let (x : Int) = 1 in x", True),
+        ],
+    )
+    def test_same_verdicts_under_a_fuel_budget(self, source, flagged):
+        assert ("FML410" in codes(lint(source, fuel=100_000))) is flagged
+
+    def test_tight_fuel_keeps_the_whole_program_verdict(self):
+        # Fuel is spent by the whole run, so under a budget only the
+        # whole-program probe can decide.  At the least fuel this
+        # program needs, erasing the parameter annotation runs out.
+        source = "let (f : Int -> Int) = fun (x : Int) -> x in f 1"
+        fuel = next(n for n in range(1, 1000) if Session(fuel=n).check(source).ok)
+        assert not Session(fuel=fuel).check(source.replace("(x : Int)", "x")).ok
+
+        def flagged(diags) -> list[str]:
+            return [d.message for d in diags if d.code == "FML410"]
+
+        assert any("parameter `x`" in m for m in flagged(lint(source)))
+        assert not any(
+            "parameter `x`" in m for m in flagged(lint(source, fuel=fuel))
+        )
+
+    @pytest.mark.parametrize("fuel", [None, 10**7])
+    def test_probe_cap_counts_annotations_in_traversal_order(self, fuel):
+        # 79 redundant annotations: one on `d0`, then two per sig'd
+        # definition.  Only the first MAX_ANNOTATION_PROBES in pre-order
+        # are decided -- the cap falls between the two annotations of
+        # `d32` -- on the per-definition path and the whole-program one.
+        lines = ["def d0 = fun (x : Int) -> x"]
+        for i in range(1, 40):
+            lines += [f"sig d{i} : Int -> Int", f"def d{i} x = d{i - 1} x"]
+        diags = lint("\n".join(lines + ["main = d39 1"]), fuel=fuel)
+        flagged = [d for d in diags if d.code == "FML410"]
+        assert len(flagged) == MAX_ANNOTATION_PROBES
+        assert "binding `d32`" in flagged[-1].message
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        let_chains(),
+        st.booleans(),
+        st.sampled_from((VARIABLE, ELIMINATOR)),
+    )
+    def test_matches_the_whole_program_rule(self, chain, restricted, strategy):
+        ctx = LintContext(
+            source="",
+            term=_tree(chain),
+            spans=None,
+            env=PRELUDE,
+            delta=KindEnv.empty(),
+            engine="freezeml",
+            strategy=strategy,
+            value_restriction=restricted,
+        )
+        found = [d.message for d in redundant_annotation(ctx)]
+        assert found == _whole_program_fml410(ctx), str(chain)
+
+    def test_closed_chain_never_probes_the_whole_program(
+        self, monkeypatch, recursion_headroom
+    ):
+        calls = []
+        whole_program = lint_inference._infer
+
+        def counting(ctx, term):
+            calls.append(term)
+            return whole_program(ctx, term)
+
+        monkeypatch.setattr(lint_inference, "_infer", counting)
+        diags = lint(_closed_chain())
+        assert codes(diags).count("FML410") == 63
+        assert calls == []
+
+    def test_golden_chain_file_is_current(self, recursion_headroom):
+        # CI diffs `repro lint tests/golden/lint_chain.fml --json` against
+        # the golden byte-exactly; compare with a normalised label here.
+        import contextlib
+        import io
+
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            run_check([str(CHAIN), "--json", "--lint"])
+        doc = json.loads(buffer.getvalue())
+        golden = json.loads(CHAIN.with_suffix(".json").read_text())
+        for program in doc["programs"] + golden["programs"]:
+            program["file"] = Path(program["file"]).name
+        assert doc == golden
 
 
 class TestResultContract:
