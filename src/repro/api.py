@@ -13,7 +13,8 @@ structured :class:`Result` carrying either a payload or a list of
 :class:`~repro.diagnostics.Diagnostic` records.  **Exceptions never
 cross this boundary**: every :class:`~repro.errors.FreezeMLError` is
 converted to a diagnostic with an error code and, where the parser's
-span table can locate the offending subterm, a source span.
+span table can locate the offending subterm, a source span, and the
+interpreter's :class:`RecursionError` becomes the ``FML912`` diagnostic.
 
 Engines
 -------
@@ -48,8 +49,9 @@ state leaks between programs.  This is the serving-style entrypoint the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
+from .analysis import LintContext, run_lint
 from .core.derivation import derive as _derive
 from .core.env import TypeEnv
 from .core.infer import ELIMINATOR, VARIABLE, normalise_type
@@ -231,24 +233,35 @@ class Session:
             return source, None
         return parse_term_spanned(source)
 
-    def _fail(
+    def _guarded(
         self,
         request: str,
         source: str,
-        exc: BaseException,
+        work: Callable[[], Result],
         *,
         engine: str = "",
-        warnings: tuple[Diagnostic, ...] = (),
+        warnings: list[Diagnostic] | None = None,
     ) -> Result:
+        """Run one request: a :class:`FreezeMLError` becomes its
+        diagnostic, and the interpreter's own :class:`RecursionError`
+        (source nested deeper than the stack allows) becomes the
+        ``FML912`` diagnostic.  ``warnings`` collected before the
+        failure travel after the error."""
+        try:
+            return work()
+        except FreezeMLError as exc:
+            error: FreezeMLError = exc
+        except RecursionError:
+            error = RecursionLimitError()
         diag = diagnostic_from_error(
-            exc, fallback_span=Span.whole_source(source) if source else None
+            error, fallback_span=Span.whole_source(source) if source else None
         )
         return Result(
             request=request,
             ok=False,
             source=source,
             engine=engine or self.engine,
-            diagnostics=(diag, *warnings),
+            diagnostics=(diag, *(warnings or ())),
         )
 
     def _resolve_engine(self, engine: str | Engine | None) -> Engine:
@@ -286,20 +299,20 @@ class Session:
         """Infer the principal type of a term under the session engine."""
         impl = self._resolve_engine(engine)
         text = source if isinstance(source, str) else str(source)
-        try:
-            term, spans = self._parse(source)
-            ty, shown = self._infer_term(term, spans, impl)
-        except FreezeMLError as exc:
-            return self._fail("infer", text, exc, engine=impl.name)
-        return Result(
-            request="infer",
-            ok=True,
-            source=text,
-            engine=impl.name,
-            rendered=shown,
-            ty=ty,
-            type_str=shown,
-        )
+
+        def work() -> Result:
+            ty, shown = self._infer_term(*self._parse(source), impl)
+            return Result(
+                request="infer",
+                ok=True,
+                source=text,
+                engine=impl.name,
+                rendered=shown,
+                ty=ty,
+                type_str=shown,
+            )
+
+        return self._guarded("infer", text, work, engine=impl.name)
 
     def _definition_type(
         self, name: str, term: Term, spans: SpanTable | None, impl: Engine
@@ -327,21 +340,22 @@ class Session:
         is evaluated and the session environment is not extended."""
         impl = self._resolve_engine(engine)
         text = source if isinstance(source, str) else str(source)
-        try:
+
+        def work() -> Result:
             term, spans = self._parse(source)
             ty = normalise_type(self._definition_type(name, term, spans, impl))
-        except FreezeMLError as exc:
-            return self._fail("infer_definition", text, exc, engine=impl.name)
-        shown = pretty_type(ty)
-        return Result(
-            request="infer_definition",
-            ok=True,
-            source=text,
-            engine=impl.name,
-            rendered=f"{name} : {shown}",
-            ty=ty,
-            type_str=shown,
-        )
+            shown = pretty_type(ty)
+            return Result(
+                request="infer_definition",
+                ok=True,
+                source=text,
+                engine=impl.name,
+                rendered=f"{name} : {shown}",
+                ty=ty,
+                type_str=shown,
+            )
+
+        return self._guarded("infer_definition", text, work, engine=impl.name)
 
     def _fix_residual_vars(self, ty: Type) -> Type:
         """Close a definition type over its free type variables.
@@ -381,33 +395,35 @@ class Session:
         """
         impl = self._resolve_engine(engine)
         text = source if isinstance(source, str) else str(source)
-        try:
+
+        def work() -> Result:
             term, spans = self._parse(source)
             ty = self._definition_type(name, term, spans, impl)
             value = eval_freezeml(term, dict(self.values))
-        except FreezeMLError as exc:
-            return self._fail("define", text, exc, engine=impl.name)
-        ty = normalise_type(self._fix_residual_vars(ty))
-        shown = pretty_type(ty)
-        self.env = self.env.extend(name, ty)
-        self.values[name] = value
-        self.bindings[name] = shown
-        return Result(
-            request="define",
-            ok=True,
-            source=text,
-            engine=impl.name,
-            rendered=f"{name} : {shown}",
-            ty=ty,
-            type_str=shown,
-            value=value,
-        )
+            ty = normalise_type(self._fix_residual_vars(ty))
+            shown = pretty_type(ty)
+            self.env = self.env.extend(name, ty)
+            self.values[name] = value
+            self.bindings[name] = shown
+            return Result(
+                request="define",
+                ok=True,
+                source=text,
+                engine=impl.name,
+                rendered=f"{name} : {shown}",
+                ty=ty,
+                type_str=shown,
+                value=value,
+            )
+
+        return self._guarded("define", text, work, engine=impl.name)
 
     def elaborate(self, source: str | Term) -> Result:
         """Elaborate to System F (Figure 11); payload is the
         :class:`~repro.translate.freezeml_to_f.ElaborationResult`."""
         text = source if isinstance(source, str) else str(source)
-        try:
+
+        def work() -> Result:
             term, _spans = self._parse(source)
             elab = _elaborate(
                 term,
@@ -416,26 +432,27 @@ class Session:
                 strategy=self.strategy,
                 value_restriction=self.value_restriction,
             )
-        except FreezeMLError as exc:
-            return self._fail("elaborate", text, exc)
-        ty = normalise_type(elab.ty)
-        shown = pretty_type(ty)
-        return Result(
-            request="elaborate",
-            ok=True,
-            source=text,
-            engine=self.engine,
-            rendered=f"{elab.fterm} : {shown}",
-            ty=ty,
-            type_str=shown,
-            value=elab,
-        )
+            ty = normalise_type(elab.ty)
+            shown = pretty_type(ty)
+            return Result(
+                request="elaborate",
+                ok=True,
+                source=text,
+                engine=self.engine,
+                rendered=f"{elab.fterm} : {shown}",
+                ty=ty,
+                type_str=shown,
+                value=elab,
+            )
+
+        return self._guarded("elaborate", text, work)
 
     def derive(self, source: str | Term) -> Result:
         """Build the full Figure 7 typing derivation; payload is the
         :class:`~repro.core.derivation.Derivation` tree."""
         text = source if isinstance(source, str) else str(source)
-        try:
+
+        def work() -> Result:
             term, _spans = self._parse(source)
             deriv, _theta = _derive(
                 term,
@@ -444,37 +461,37 @@ class Session:
                 strategy=self.strategy,
                 value_restriction=self.value_restriction,
             )
-        except FreezeMLError as exc:
-            return self._fail("derive", text, exc)
-        ty = normalise_type(deriv.ty)
-        shown = pretty_type(ty)
-        return Result(
-            request="derive",
-            ok=True,
-            source=text,
-            engine=self.engine,
-            rendered=deriv.pretty(indent=1),
-            ty=ty,
-            type_str=shown,
-            value=deriv,
-        )
+            ty = normalise_type(deriv.ty)
+            return Result(
+                request="derive",
+                ok=True,
+                source=text,
+                engine=self.engine,
+                rendered=deriv.pretty(indent=1),
+                ty=ty,
+                type_str=pretty_type(ty),
+                value=deriv,
+            )
+
+        return self._guarded("derive", text, work)
 
     def evaluate(self, source: str | Term) -> Result:
         """Evaluate under the CBV semantics (type erasure)."""
         text = source if isinstance(source, str) else str(source)
-        try:
+
+        def work() -> Result:
             term, _spans = self._parse(source)
             value = eval_freezeml(term, dict(self.values))
-        except FreezeMLError as exc:
-            return self._fail("evaluate", text, exc)
-        return Result(
-            request="evaluate",
-            ok=True,
-            source=text,
-            engine=self.engine,
-            rendered=show_value(value),
-            value=value,
-        )
+            return Result(
+                request="evaluate",
+                ok=True,
+                source=text,
+                engine=self.engine,
+                rendered=show_value(value),
+                value=value,
+            )
+
+        return self._guarded("evaluate", text, work)
 
     def run_program(self, source: str) -> Result:
         """Type and run a ``sig``/``def``/``main`` program (Section 6).
@@ -483,23 +500,24 @@ class Session:
         the result carries both the program type and the value of
         ``main``.
         """
-        try:
+
+        def work() -> Result:
             definitions, main = parse_program(source)
             term = desugar_program(definitions, main)
             ty, shown = self._infer_term(term, None, self._engine_impl)
             value = eval_freezeml(term, dict(self.values))
-        except FreezeMLError as exc:
-            return self._fail("run_program", source, exc)
-        return Result(
-            request="run_program",
-            ok=True,
-            source=source,
-            engine=self.engine,
-            rendered=f"{show_value(value)} : {shown}",
-            ty=ty,
-            type_str=shown,
-            value=value,
-        )
+            return Result(
+                request="run_program",
+                ok=True,
+                source=source,
+                engine=self.engine,
+                rendered=f"{show_value(value)} : {shown}",
+                ty=ty,
+                type_str=shown,
+                value=value,
+            )
+
+        return self._guarded("run_program", source, work)
 
     # -- batch / serving ----------------------------------------------------
 
@@ -512,81 +530,79 @@ class Session:
         alone in ``diagnostics`` when the program typechecks, after the
         error diagnostic when it does not (syntactic findings still
         apply to an ill-typed program; inference-aware ones degrade to
-        silence).  Warnings never flip ``ok``.
+        silence).  Warnings never flip ``ok``.  Under the ``freezeml``
+        engine the lint tier's instrumented whole-program inference,
+        when it succeeds, also supplies the verdict type: the program
+        is inferred once.
 
-        As the serving entrypoint, ``check`` additionally backstops the
-        interpreter's own :class:`RecursionError` (deeply nested source
-        can exhaust the stack in the parser or an unbudgeted engine)
-        with the ``FML912`` diagnostic -- non-deterministic, so never
-        cached; configure ``fuel``/``max_depth`` for the deterministic
-        ``FML901``/``FML902`` guards instead.
+        Let spines (one ``let`` per top-level definition) and operator
+        chains are checked in constant Python stack, so program length
+        never reaches the interpreter's recursion limit.  Genuinely
+        nested source -- parentheses, lambda bodies, bound terms many
+        thousands deep -- still can, and degrades to the ``FML912``
+        diagnostic like in every other request: non-deterministic, so
+        never cached; configure ``fuel``/``max_depth`` for the
+        deterministic ``FML901``/``FML902`` guards instead.
         """
-        program = _is_program(source)
-        def_sites: tuple[tuple[str, Span], ...] = ()
-        if program:
-            try:
-                if lint:
-                    # The spanned parse keeps def-line token positions so
-                    # warnings (and type errors) point into the source.
-                    term, spans, def_sites = parse_program_spanned(source)
-                else:
-                    definitions, main = parse_program(source)
-                    term = desugar_program(definitions, main)
-                    spans = None
-            except FreezeMLError as exc:
-                return self._fail("check", source, exc)
-            except RecursionError:
-                return self._fail("check", source, RecursionLimitError())
-        else:
-            try:
+        warnings: list[Diagnostic] = []
+
+        def work() -> Result:
+            program = _is_program(source)
+            def_sites: tuple[tuple[str, Span], ...] = ()
+            if not program:
                 term, spans = self._parse(source)
-            except FreezeMLError as exc:
-                return self._fail("check", source, exc)
-            except RecursionError:
-                return self._fail("check", source, RecursionLimitError())
-        warnings: tuple[Diagnostic, ...] = ()
-        if lint:
-            try:
-                warnings = self._lint_warnings(source, term, spans, program, def_sites)
-            except RecursionError:
-                warnings = ()  # lint must never take the check down
-        try:
-            ty, shown = self._infer_term(term, spans, self._engine_impl)
-        except FreezeMLError as exc:
-            return self._fail("check", source, exc, warnings=warnings)
-        except RecursionError:
-            return self._fail(
-                "check", source, RecursionLimitError(), warnings=warnings
+            elif lint:
+                # The spanned parse keeps def-line token positions so
+                # warnings (and type errors) point into the source.
+                term, spans, def_sites = parse_program_spanned(source)
+            else:
+                definitions, main = parse_program(source)
+                term = desugar_program(definitions, main)
+                spans = None
+            ty: Type | None = None
+            if lint:
+                ctx = self._lint_context(source, term, spans, program, def_sites)
+                try:
+                    warnings.extend(run_lint(ctx))
+                    run = ctx.inference() if self.engine == "freezeml" else None
+                except RecursionError:
+                    run = None  # lint must never take the check down
+                if run is not None:
+                    ty = normalise_type(run.result.ty)
+            if ty is None:
+                ty, shown = self._infer_term(term, spans, self._engine_impl)
+            else:
+                shown = pretty_type(ty)
+            return Result(
+                request="check",
+                ok=True,
+                source=source,
+                engine=self.engine,
+                rendered=shown,
+                ty=ty,
+                type_str=shown,
+                diagnostics=tuple(warnings),
             )
-        return Result(
-            request="check",
-            ok=True,
-            source=source,
-            engine=self.engine,
-            rendered=shown,
-            ty=ty,
-            type_str=shown,
-            diagnostics=warnings,
-        )
+
+        return self._guarded("check", source, work, warnings=warnings)
 
     def lint(self, source: str) -> Result:
         """Typecheck *and* lint: sugar for ``check(source, lint=True)``
         (same request kind, so serving caches and verdict bytes agree)."""
         return self.check(source, lint=True)
 
-    def _lint_warnings(
+    def _lint_context(
         self,
         source: str,
         term: Term,
         spans: SpanTable | None,
         program: bool,
         def_sites: tuple[tuple[str, Span], ...],
-    ) -> tuple[Diagnostic, ...]:
-        """Run the analysis tier under this session's exact typing
-        context (engine, strategy, value restriction, budget, env)."""
-        from .analysis import LintContext, run_lint
-
-        ctx = LintContext(
+    ) -> LintContext:
+        """The analysis tier's view of one check, under this session's
+        exact typing context (engine, strategy, value restriction,
+        budget, env)."""
+        return LintContext(
             source=source,
             term=term,
             spans=spans,
@@ -599,7 +615,6 @@ class Session:
             program=program,
             def_sites=def_sites,
         )
-        return run_lint(ctx)
 
     def check_many(
         self, sources: Iterable[str], *, lint: bool = False

@@ -72,7 +72,7 @@ from .types import (
     tvar_unchecked,
 )
 from .wellformed import env_well_formed, split_annotation, well_scoped
-from ..errors import SkolemEscapeError
+from ..errors import FreezeMLError, SkolemEscapeError
 from ..names import NameSupply, display_names, is_flexible_name
 
 VARIABLE = "variable"
@@ -173,6 +173,9 @@ class Inferencer:
     (the recursive worker on ``(Delta, Gamma, M)``); the classic
     four-argument :meth:`infer` remains as the paper-shaped entry point
     that seeds the solver with ``Theta`` and reads the results back out.
+    The ``let`` nodes in the body of a ``let``, like the ``fun`` nodes in
+    the body of a ``fun``, are handled in a loop and do not pass through
+    an override; their bound terms and the final body do.
     """
 
     def __init__(
@@ -183,6 +186,7 @@ class Inferencer:
         elaborator: Elaborator | None = None,
         supply: NameSupply | None = None,
         budget: Budget | None = None,
+        spans: Any = None,
     ):
         if strategy not in (VARIABLE, ELIMINATOR):
             raise ValueError(f"unknown instantiation strategy: {strategy}")
@@ -191,6 +195,9 @@ class Inferencer:
         self.elaborator = elaborator or Elaborator()
         self.supply = supply or NameSupply()
         self.budget = budget
+        #: Optional span table (``get(node) -> Span | None``): a failure
+        #: leaving a node's rule without a span gets that node's.
+        self.spans = spans
         self.solver = SolverState(budget=budget)
         # With the default (all-no-op) elaborator the hook calls can be
         # skipped entirely -- measurable on large synthetic programs.
@@ -266,16 +273,23 @@ class Inferencer:
         for the fallthrough cases); the budget guard lives here so every
         recursive descent -- base or extension -- is charged exactly one
         fuel step and one depth frame per node.  An unbudgeted run takes
-        the early-out path and pays two ``is None`` checks.
+        the early-out path and pays two ``is None`` checks.  With a span
+        table, a failure crossing this frame without a span gets
+        ``term``'s: the innermost located subterm wins.
         """
         solver = self.solver
-        if solver.fuel is None and solver.max_depth is None:
-            return self._infer_node(delta, gamma, term)
-        solver.step_into()
         try:
-            return self._infer_node(delta, gamma, term)
-        finally:
-            solver.depth -= 1
+            if solver.fuel is None and solver.max_depth is None:
+                return self._infer_node(delta, gamma, term)
+            solver.step_into()
+            try:
+                return self._infer_node(delta, gamma, term)
+            finally:
+                solver.depth -= 1
+        except FreezeMLError as exc:
+            if exc.span is None and self.spans is not None:
+                exc.span = self.spans.get(term)
+            raise
 
     def _infer_node(
         self, delta: KindEnv, gamma: TypeEnv, term: Term
@@ -336,8 +350,8 @@ class Inferencer:
                 body_ty = tcon_unchecked(ARROW, (param_ty, body_ty))
             return body_ty, body_p
 
-        if isinstance(term, Let):
-            return self._infer_let(delta, gamma, term)
+        if isinstance(term, (Let, LetAnn)):
+            return self._infer_lets(delta, gamma, term)
 
         if isinstance(term, FrozenVar):
             ty = gamma.lookup(term.name)
@@ -362,9 +376,6 @@ class Inferencer:
                 else elab.lam(term.param, term.ann, body_p, annotated=True)
             )
             return arrow(term.ann, body_ty), payload
-
-        if isinstance(term, LetAnn):
-            return self._infer_let_ann(delta, gamma, term)
 
         raise TypeError(f"not a term: {term!r}")
 
@@ -393,8 +404,69 @@ class Inferencer:
         payload = None if self._no_elab else elab.app(fn_p, arg_p, result_ty)
         return result_ty, payload
 
-    def _infer_let(self, delta, gamma, term: Let):
-        elab = self.elaborator
+    def _infer_lets(self, delta, gamma, term):
+        """Figure 16's ``let`` rules over a whole let spine, in a loop.
+
+        A top-level program is one ``let`` per definition around
+        ``main`` (Section 6), so the spine is as long as the program.
+        Each spine node's bound term goes through :meth:`infer_node`
+        and its variable is pushed onto Gamma; only the final non-let
+        body recurses.  Every node after the first (which
+        :meth:`infer_node` already charged) costs one fuel step and one
+        depth frame at the point the recursive formulation would charge
+        it, and a failure is located at the innermost spine node that
+        has a span -- exactly as if each node had its own frame.
+        """
+        solver = self.solver
+        budgeted = solver.fuel is not None or solver.max_depth is not None
+        nodes: list[Term] = [term]
+        frames: list[tuple[Term, tuple[str, ...], Type, Any, Any]] = []
+        t: Term = term
+        try:
+            while True:
+                if isinstance(t, Let):
+                    binders, var_ty, bound_p = self._let_bound(delta, gamma, t)
+                else:
+                    binders, var_ty, bound_p = self._let_ann_bound(delta, gamma, t)
+                frames.append((t, binders, var_ty, bound_p, gamma._push(t.var, var_ty)))
+                t = t.body
+                if not isinstance(t, (Let, LetAnn)):
+                    break
+                nodes.append(t)
+                if budgeted:
+                    solver.step_into()
+            body_ty, body_p = self.infer_node(delta, gamma, t)
+        except FreezeMLError as exc:
+            if exc.span is None and self.spans is not None:
+                for node in reversed(nodes):
+                    span = self.spans.get(node)
+                    if span is not None:
+                        exc.span = span
+                        break
+            raise
+        finally:
+            for node, _, _, _, token in reversed(frames):
+                gamma._pop(node.var, token)
+            if budgeted:
+                # One frame per node this loop charged (a raise aborts
+                # the run, so the count on the error path is moot).
+                solver.depth -= len(nodes) - 1
+        if not self._no_elab:
+            elab = self.elaborator
+            for node, binders, var_ty, bound_p, _ in reversed(frames):
+                body_p = elab.let(
+                    node.var,
+                    binders,
+                    var_ty,
+                    bound_p,
+                    body_p,
+                    annotated=isinstance(node, LetAnn),
+                )
+        return body_ty, body_p
+
+    def _let_bound(self, delta, gamma, term: Let):
+        """The bound half of the unannotated ``let`` rule: infer, then
+        generalise.  Returns ``(binders, var_ty, payload)``."""
         solver = self.solver
         # The bound term is inferred one level deeper; every flexible
         # variable it creates carries that level unless binding lowered
@@ -426,22 +498,11 @@ class Inferencer:
             solver.undeclare_all(binders)
         else:
             solver.lower_to_current(candidates)
+        return binders, forall(binders, bound_ty), bound_p
 
-        var_ty = forall(binders, bound_ty)
-        token = gamma._push(term.var, var_ty)
-        try:
-            body_ty, body_p = self.infer_node(delta, gamma, term.body)
-        finally:
-            gamma._pop(term.var, token)
-        payload = (
-            None
-            if self._no_elab
-            else elab.let(term.var, binders, var_ty, bound_p, body_p)
-        )
-        return body_ty, payload
-
-    def _infer_let_ann(self, delta, gamma, term: LetAnn):
-        elab = self.elaborator
+    def _let_ann_bound(self, delta, gamma, term: LetAnn):
+        """The bound half of the annotated ``let`` rule: check the bound
+        term against the annotation.  Returns ``(binders, ann, payload)``."""
         solver = self.solver
         binders, ann_body = self._split(term.ann, term.bound)
         delta_inner = delta.extend_all(binders, Kind.MONO)
@@ -467,20 +528,7 @@ class Inferencer:
         finally:
             solver.restore_rigid(saved)
             solver.leave_level()
-
-        token = gamma._push(term.var, term.ann)
-        try:
-            body_ty, body_p = self.infer_node(delta, gamma, term.body)
-        finally:
-            gamma._pop(term.var, token)
-        payload = (
-            None
-            if self._no_elab
-            else elab.let(
-                term.var, binders, term.ann, bound_p, body_p, annotated=True
-            )
-        )
-        return body_ty, payload
+        return binders, term.ann, bound_p
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +553,8 @@ def infer_raw(
     solver store.
 
     ``inferencer_factory`` substitutes an :class:`Inferencer` subclass (or
-    any callable accepting the same options); ``repro.api`` uses it to
-    wrap ``infer_node`` with source-span attachment for diagnostics.
+    any callable accepting the same options).  Pass ``spans=`` (a parser
+    span table) to locate failures at the innermost located subterm.
     Pass ``budget=Budget(fuel=..., max_depth=...)`` (like any other
     option) to bound solver work deterministically; exhaustion raises
     :class:`~repro.errors.BudgetExceededError`.

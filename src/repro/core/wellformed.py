@@ -175,37 +175,37 @@ def well_scoped(delta: KindEnv, term: Term) -> None:
     an annotated let whose bound term is a guarded value brings the
     annotation's top-level quantifiers into scope for the bound term
     (scoped type variables).
+
+    Bodies and arguments are walked in a loop, so a let spine of any
+    length costs one Python frame; only bound terms and functions
+    recurse.
     """
-    if isinstance(term, _ATOMIC_TERMS):
-        return
-    if isinstance(term, Lam):
-        well_scoped(delta, term.body)
-        return
-    if isinstance(term, LamAnn):
-        _check_annotation(delta, term.ann, term)
-        well_scoped(delta, term.body)
-        return
-    if isinstance(term, App):
-        well_scoped(delta, term.fn)
-        well_scoped(delta, term.arg)
-        return
-    if isinstance(term, Let):
-        well_scoped(delta, term.bound)
-        well_scoped(delta, term.body)
-        return
-    if isinstance(term, LetAnn):
-        _check_annotation(delta, term.ann, term)
-        binders, _ = split_annotation(term.ann, term.bound)
-        if not delta.disjoint(binders):
-            raise ScopeError(
-                f"annotation `{term.ann}` rebinds type variables already in "
-                f"scope: {sorted(set(binders) & set(delta.names()))}"
-            )
-        inner = delta.extend_all(binders, Kind.MONO)
-        well_scoped(inner, term.bound)
-        well_scoped(delta, term.body)
-        return
-    raise TypeError(f"not a term: {term!r}")
+    while True:
+        if isinstance(term, _ATOMIC_TERMS):
+            return
+        if isinstance(term, Lam):
+            term = term.body
+        elif isinstance(term, LamAnn):
+            _check_annotation(delta, term.ann, term)
+            term = term.body
+        elif isinstance(term, App):
+            well_scoped(delta, term.fn)
+            term = term.arg
+        elif isinstance(term, Let):
+            well_scoped(delta, term.bound)
+            term = term.body
+        elif isinstance(term, LetAnn):
+            _check_annotation(delta, term.ann, term)
+            binders, _ = split_annotation(term.ann, term.bound)
+            if not delta.disjoint(binders):
+                raise ScopeError(
+                    f"annotation `{term.ann}` rebinds type variables already in "
+                    f"scope: {sorted(set(binders) & set(delta.names()))}"
+                )
+            well_scoped(delta.extend_all(binders, Kind.MONO), term.bound)
+            term = term.body
+        else:
+            raise TypeError(f"not a term: {term!r}")
 
 
 def _check_annotation(delta: KindEnv, ann: Type, term: Term) -> None:

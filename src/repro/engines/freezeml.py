@@ -5,30 +5,9 @@ from __future__ import annotations
 from typing import Any
 
 from .base import Engine
-from ..core.infer import VARIABLE, Inferencer, infer_raw
+from ..core.infer import VARIABLE, infer_raw
 from ..core.kinds import KindEnv
 from ..core.terms import FrozenVar, Let, Term
-from ..errors import FreezeMLError
-
-
-def located_inferencer(spans: Any) -> type[Inferencer]:
-    """An :class:`Inferencer` whose failures carry the span of the
-    innermost located subterm (the first frame the exception crosses)."""
-    if spans is None:
-        return Inferencer
-
-    class _Located(Inferencer):
-        def infer_node(self, delta, gamma, term):
-            try:
-                return super().infer_node(delta, gamma, term)
-            except FreezeMLError as exc:
-                if exc.span is None:
-                    span = spans.get(term)
-                    if span is not None:
-                        exc.span = span
-                raise
-
-    return _Located
 
 
 class FreezeMLEngine(Engine):
@@ -55,7 +34,7 @@ class FreezeMLEngine(Engine):
             delta if delta is not None else KindEnv.empty(),
             strategy=strategy,
             value_restriction=value_restriction,
-            inferencer_factory=located_inferencer(spans),
+            spans=spans,
             budget=budget,
         )
         return result.ty

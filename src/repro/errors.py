@@ -34,6 +34,11 @@ FML911    worker crashed / raised          no
 FML912    interpreter recursion limit      no
 ========  ===============================  ==============
 
+``FML912`` is for genuinely nested source -- parentheses, lambda
+bodies or bound terms nested thousands deep.  Program length never
+reaches it: let spines and operator chains are parsed, scope-checked
+and inferred in loops.
+
 ``FML903`` and ``FML904`` are hybrids: their verdict *bytes* are a
 pure function of the request and the server configuration (same
 message and whole-source span at any worker or shard count, so
@@ -336,9 +341,11 @@ class WorkerCrashError(ResilienceError):
 
 class RecursionLimitError(ResilienceError):
     """The Python interpreter's recursion limit fired before any
-    configured guard.  The limit is interpreter- and thread-dependent,
-    so the verdict is never cached; configure ``fuel``/``max_depth``
-    for a stable, cacheable verdict instead."""
+    configured guard, on source nested deeper than the stack allows
+    (a long program is not deep: its let spine is walked in a loop).
+    The limit is interpreter- and thread-dependent, so the verdict is
+    never cached; configure ``fuel``/``max_depth`` for a stable,
+    cacheable verdict instead."""
 
     code = "FML912"
 

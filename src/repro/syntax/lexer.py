@@ -16,7 +16,7 @@ generalisation/instantiation operators of Section 2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -24,23 +24,41 @@ KEYWORDS = {"fun", "let", "in", "forall", "true", "false", "rec"}
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>\s+)
-    | (?P<COMMENT>\#[^\n]*)
-    | (?P<ARROW>->)
-    | (?P<DCOLON>::)
-    | (?P<DPLUS>\+\+)
+      (?P<SKIP>\s+|\#[^\n]*)
+    | (?P<SYM>->|::|\+\+|[().\[\],~$@:=*+×])
     | (?P<INT>\d+)
     | (?P<IDENT>[a-z_][A-Za-z0-9_']*)
     | (?P<UPPER>[A-Z][A-Za-z0-9_']*)
     | (?P<STRING>"(?:[^"\\]|\\.)*")
-    | (?P<SYM>[().\[\],~$@:=*+×])
+    | (?P<ERROR>.)
     """,
     re.VERBOSE,
 )
 
+#: Token text -> kind for every keyword and symbol; any other text takes
+#: the kind of the regex group that matched it.
+_KINDS = {kw: kw.upper() for kw in KEYWORDS} | {
+    "->": "ARROW",
+    "::": "DCOLON",
+    "++": "DPLUS",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "[": "LBRACKET",
+    "]": "RBRACKET",
+    ".": "DOT",
+    ",": "COMMA",
+    "~": "TILDE",
+    "$": "DOLLAR",
+    "@": "AT",
+    ":": "COLON",
+    "=": "EQUALS",
+    "*": "STAR",
+    "×": "STAR",
+    "+": "PLUS",
+}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -63,53 +81,24 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Tokenise ``source``; raises :class:`ParseError` on bad input."""
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
+    kinds = _KINDS
     line = 1
     line_start = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            column = pos - line_start + 1
-            raise ParseError(
-                f"unexpected character {source[pos]!r}",
-                line,
-                column,
-                line,
-                column + 1,
-            )
+    for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
         text = match.group()
-        column = pos - line_start + 1
-        if kind in ("WS", "COMMENT"):
+        if kind == "SKIP":
             newlines = text.count("\n")
             if newlines:
                 line += newlines
-                line_start = pos + text.rfind("\n") + 1
-        elif kind == "IDENT" and text in KEYWORDS:
-            tokens.append(Token(text.upper(), text, line, column))
-        elif kind == "SYM":
-            tokens.append(Token(_SYM_NAMES.get(text, text), text, line, column))
-        else:
-            assert kind is not None
-            tokens.append(Token(kind, text, line, column))
-        pos = match.end()
+                line_start = match.start() + text.rfind("\n") + 1
+            continue
+        column = match.start() - line_start + 1
+        if kind == "ERROR":
+            raise ParseError(
+                f"unexpected character {text!r}", line, column, line, column + 1
+            )
+        append(Token(kinds.get(text, kind), text, line, column))  # type: ignore[arg-type]
     tokens.append(Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
-
-
-_SYM_NAMES = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ".": "DOT",
-    ",": "COMMA",
-    "~": "TILDE",
-    "$": "DOLLAR",
-    "@": "AT",
-    ":": "COLON",
-    "=": "EQUALS",
-    "*": "STAR",
-    "×": "STAR",
-    "+": "PLUS",
-}

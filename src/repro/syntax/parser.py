@@ -1,4 +1,9 @@
-"""Recursive-descent parser for FreezeML terms and types.
+"""Parser for FreezeML terms and types.
+
+Terms are parsed by precedence climbing: one loop handles the binary
+operators, application and ``@``; ``let ... in`` chains are consumed in
+a loop too.  Only parentheses, brackets, bound terms and lambda bodies
+recurse.  Types are parsed by recursive descent.
 
 Term grammar (loosest to tightest)::
 
@@ -49,8 +54,6 @@ from ..core.terms import (
     instantiate,
 )
 from ..core.types import TCon, TForall, TVar, Type, constructor_arity, product
-from typing import ClassVar
-
 from ..diagnostics import Span
 from ..errors import ParseError
 from .lexer import Token, tokenize
@@ -110,6 +113,16 @@ class SpanTable:
         return len(self._spans)
 
 
+#: Binary operators by token kind: (precedence, prelude constant).  All
+#: are left-associative except ``::``, the loosest, which nests right.
+_BINARY = {"DCOLON": (1, CONS), "DPLUS": (2, APPEND), "PLUS": (3, PLUS)}
+_RIGHT_ASSOC = 1
+
+_ATOM_START = frozenset(
+    ("IDENT", "INT", "TRUE", "FALSE", "STRING", "TILDE", "DOLLAR", "LPAREN", "LBRACKET")
+)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], spans: SpanTable | None = None):
         self.tokens = tokens
@@ -118,8 +131,9 @@ class _Parser:
 
     # -- plumbing -----------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # The EOF token is a sentinel: ``next`` never moves past it.
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         token = self.tokens[self.pos]
@@ -128,7 +142,7 @@ class _Parser:
         return token
 
     def expect(self, kind: str) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != kind:
             raise ParseError(
                 f"expected {kind}, found {token.kind} {token.text!r}",
@@ -140,16 +154,16 @@ class _Parser:
         return self.next()
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def eat(self, kind: str) -> bool:
-        if self.at(kind):
+        if self.tokens[self.pos].kind == kind:
             self.next()
             return True
         return False
 
     def fail(self, message: str):
-        token = self.peek()
+        token = self.tokens[self.pos]
         raise ParseError(
             message, token.line, token.column, token.end_line, token.end_column
         )
@@ -157,24 +171,25 @@ class _Parser:
     def _note(self, node: Term, start: Token) -> Term:
         """Record ``node``'s span: from ``start`` to the last consumed token."""
         if self.spans is not None:
-            end = self.tokens[self.pos - 1] if self.pos else start
+            end = self.tokens[self.pos - 1]
             self.spans.record(
-                node, Span(start.line, start.column, end.end_line, end.end_column)
+                node,
+                Span(start.line, start.column, end.line, end.column + len(end.text)),
             )
         return node
 
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> Term:
-        if self.at("FUN"):
+        kind = self.tokens[self.pos].kind
+        if kind == "FUN":
             return self.lambda_()
-        if self.at("LET"):
+        if kind == "LET":
             return self.let()
-        return self.cons()
+        return self.operators()
 
     def lambda_(self) -> Term:
-        start = self.peek()
-        self.expect("FUN")
+        start = self.expect("FUN")
         params: list[tuple[str, Type | None]] = [self.param()]
         while not self.at("ARROW"):
             params.append(self.param())
@@ -198,101 +213,102 @@ class _Parser:
         raise AssertionError  # pragma: no cover
 
     def let(self) -> Term:
-        start = self.peek()
-        self.expect("LET")
-        if self.eat("LPAREN"):
-            name = self.expect("IDENT").text
-            self.expect("COLON")
-            ann = self.type()
-            self.expect("RPAREN")
+        """A whole ``let ... in`` chain, consumed in a loop: only the
+        bound terms and the final body recurse."""
+        headers: list[tuple[Token, str, Type | None, Term]] = []
+        while self.at("LET"):
+            start = self.next()
+            ann: Type | None = None
+            if self.eat("LPAREN"):
+                name = self.expect("IDENT").text
+                self.expect("COLON")
+                ann = self.type()
+                self.expect("RPAREN")
+            else:
+                name = self.expect("IDENT").text
             self.expect("EQUALS")
             bound = self.term()
             self.expect("IN")
-            body = self.term()
-            return self._note(LetAnn(name, ann, bound, body), start)
-        name = self.expect("IDENT").text
-        self.expect("EQUALS")
-        bound = self.term()
-        self.expect("IN")
+            headers.append((start, name, ann, bound))
         body = self.term()
-        return self._note(Let(name, bound, body), start)
+        for start, name, ann, bound in reversed(headers):
+            if ann is None:
+                body = Let(name, bound, body)
+            else:
+                body = LetAnn(name, ann, bound, body)
+            self._note(body, start)
+        return body
 
-    def cons(self) -> Term:
-        start = self.peek()
-        left = self.append()
-        if self.eat("DCOLON"):
-            right = self.cons()
-            node = App(App(Var(CONS), left), right)
-            return self._note(node, start)
-        return left
+    def operators(self) -> Term:
+        """Precedence climbing over ``::``/``++``/``+`` operands, each an
+        application of ``@``-postfixed atoms.
 
-    def append(self) -> Term:
-        start = self.peek()
-        left = self.sum()
-        while self.eat("DPLUS"):
-            right = self.sum()
-            left = self._note(App(App(Var(APPEND), left), right), start)
-        return left
+        ``operands`` pairs each pending operand with its first token (a
+        node's span runs from its left operand's first token to the last
+        token consumed when it is built); ``pending`` holds the
+        operators not yet reduced, loosest at the bottom.
+        """
+        tokens = self.tokens
+        operands: list[tuple[Token, Term]] = []
+        pending: list[tuple[int, str]] = []
+        while True:
+            start = tokens[self.pos]
+            fn: Term | None = None
+            while True:
+                atom_start = tokens[self.pos]
+                arg = self.atom()
+                while tokens[self.pos].kind == "AT":
+                    self.pos += 1
+                    arg = self._note(instantiate(arg), atom_start)
+                fn = arg if fn is None else self._note(App(fn, arg), start)
+                if tokens[self.pos].kind not in _ATOM_START:
+                    break
+            op = _BINARY.get(tokens[self.pos].kind)
+            if op is None and not pending:
+                return fn
+            prec = op[0] if op is not None else 0
+            operands.append((start, fn))
+            while pending and (
+                pending[-1][0] > prec
+                or (pending[-1][0] == prec and prec != _RIGHT_ASSOC)
+            ):
+                self._reduce(operands, pending.pop()[1])
+            if op is None:
+                return operands[0][1]
+            pending.append(op)
+            self.pos += 1
 
-    def sum(self) -> Term:
-        start = self.peek()
-        left = self.app()
-        while self.eat("PLUS"):
-            right = self.app()
-            left = self._note(App(App(Var(PLUS), left), right), start)
-        return left
-
-    _ATOM_START: ClassVar[set[str]] = {
-        "IDENT",
-        "INT",
-        "TRUE",
-        "FALSE",
-        "STRING",
-        "TILDE",
-        "DOLLAR",
-        "LPAREN",
-        "LBRACKET",
-    }
-
-    def app(self) -> Term:
-        start = self.peek()
-        fn = self.postfix()
-        while self.peek().kind in self._ATOM_START:
-            fn = self._note(App(fn, self.postfix()), start)
-        return fn
-
-    def postfix(self) -> Term:
-        start = self.peek()
-        term = self.atom()
-        while self.eat("AT"):
-            term = self._note(instantiate(term), start)
-        return term
+    def _reduce(self, operands: list[tuple[Token, Term]], name: str) -> None:
+        _, right = operands.pop()
+        start, left = operands[-1]
+        operands[-1] = (start, self._note(App(App(Var(name), left), right), start))
 
     def atom(self) -> Term:
-        token = self.peek()
-        if token.kind == "IDENT":
-            return self._note(Var(self.next().text), token)
-        if token.kind == "INT":
-            return self._note(IntLit(int(self.next().text)), token)
-        if token.kind == "TRUE":
-            self.next()
-            return self._note(BoolLit(True), token)
-        if token.kind == "FALSE":
-            self.next()
-            return self._note(BoolLit(False), token)
-        if token.kind == "STRING":
-            raw = self.next().text
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == "IDENT":
+            self.pos += 1
+            return self._note(Var(token.text), token)
+        if kind == "INT":
+            self.pos += 1
+            return self._note(IntLit(int(token.text)), token)
+        if kind == "TRUE" or kind == "FALSE":
+            self.pos += 1
+            return self._note(BoolLit(kind == "TRUE"), token)
+        if kind == "STRING":
+            self.pos += 1
+            raw = token.text
             return self._note(
                 StrLit(raw[1:-1].replace('\\"', '"').replace("\\\\", "\\")), token
             )
-        if token.kind == "TILDE":
-            self.next()
+        if kind == "TILDE":
+            self.pos += 1
             return self._note(FrozenVar(self.expect("IDENT").text), token)
-        if token.kind == "DOLLAR":
-            self.next()
+        if kind == "DOLLAR":
+            self.pos += 1
             return self._note(self.dollar(), token)
-        if token.kind == "LPAREN":
-            self.next()
+        if kind == "LPAREN":
+            self.pos += 1
             inner = self.term()
             if self.eat("COMMA"):
                 second = self.term()
@@ -300,8 +316,8 @@ class _Parser:
                 return self._note(App(App(Var(PAIR), inner), second), token)
             self.expect("RPAREN")
             return inner
-        if token.kind == "LBRACKET":
-            self.next()
+        if kind == "LBRACKET":
+            self.pos += 1
             elems: list[Term] = []
             if not self.at("RBRACKET"):
                 elems.append(self.term())
@@ -312,7 +328,7 @@ class _Parser:
             for elem in reversed(elems):
                 result = App(App(Var(CONS), elem), result)
             return self._note(result, token)
-        self.fail(f"expected a term, found {token.kind} {token.text!r}")
+        self.fail(f"expected a term, found {kind} {token.text!r}")
         raise AssertionError  # pragma: no cover
 
     def dollar(self) -> Term:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 from repro.core.env import TypeEnv
 from repro.core.infer import infer_type
 from repro.core.kinds import Kind, KindEnv
@@ -42,3 +45,14 @@ def flexible(**kinds: str) -> KindEnv:
     return KindEnv(
         (n, Kind.MONO if k in ("mono", "•") else Kind.POLY) for n, k in kinds.items()
     )
+
+
+@contextmanager
+def recursion_limit(limit: int):
+    """Run the block under ``sys.setrecursionlimit(limit)``."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

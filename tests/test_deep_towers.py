@@ -14,9 +14,6 @@ the solver engine.)
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
-
 import pytest
 
 from repro.core.infer import infer_raw
@@ -27,19 +24,10 @@ from repro.core.subst import Subst
 from repro.core.terms import Var
 from repro.core.types import INT, TForall, TVar, arrow, ftv_set, list_of
 from repro.core.wellformed import kind_of
+from tests.helpers import recursion_limit
 
 DEPTH = 512
 EMPTY = KindEnv.empty()
-
-
-@contextmanager
-def recursion_limit(limit: int):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 def arrow_tower(depth: int, leaf):

@@ -17,7 +17,6 @@ The acceptance bar, per rule and per layer:
 from __future__ import annotations
 
 import json
-import sys
 import urllib.request
 from pathlib import Path
 
@@ -242,18 +241,6 @@ class TestInferenceRules:
             assert "%" not in d.hint, d.hint
 
 
-@pytest.fixture
-def recursion_headroom():
-    """Room for the 200-definition chains below whatever limit the run
-    was started with (CI runs the suite at 800): the unbudgeted check
-    recurses a few frames per definition, and a degraded FML912 check
-    is not what these tests are about."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 5000))
-    yield
-    sys.setrecursionlimit(limit)
-
-
 def _tree(term: Term) -> Term:
     """``term`` rebuilt with no binder node shared between positions
     (the hypothesis strategies reuse ``st.just`` nodes, and annotation
@@ -436,9 +423,7 @@ class TestRedundantAnnotationLocality:
         found = [d.message for d in redundant_annotation(ctx)]
         assert found == _whole_program_fml410(ctx), str(chain)
 
-    def test_closed_chain_never_probes_the_whole_program(
-        self, monkeypatch, recursion_headroom
-    ):
+    def test_closed_chain_never_probes_the_whole_program(self, monkeypatch):
         calls = []
         whole_program = lint_inference._infer
 
@@ -451,7 +436,7 @@ class TestRedundantAnnotationLocality:
         assert codes(diags).count("FML410") == 63
         assert calls == []
 
-    def test_golden_chain_file_is_current(self, recursion_headroom):
+    def test_golden_chain_file_is_current(self):
         # CI diffs `repro lint tests/golden/lint_chain.fml --json` against
         # the golden byte-exactly; compare with a normalised label here.
         import contextlib
