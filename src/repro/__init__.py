@@ -96,7 +96,7 @@ from .syntax.parser import parse_term, parse_type
 from .syntax.pretty import pretty_term, pretty_type
 
 #: single source of truth for the package version (setup.py reads it).
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "ENGINES",

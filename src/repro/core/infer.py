@@ -40,7 +40,7 @@ from typing import Any
 from .env import TypeEnv
 from .kinds import Kind, KindEnv
 from .solver import Budget, SolverState
-from .subst import Subst, instantiation_from
+from .subst import Subst
 from .terms import (
     App,
     BoolLit,
@@ -307,12 +307,8 @@ class Inferencer:
                 ty = solver.zonk(ty)
             if not isinstance(ty, TForall):
                 return ty, (None if self._no_elab else elab.var(term.name, ty, ()))
-            prefix, body = split_foralls(ty)
-            fresh = self.supply.fresh_flexibles(len(prefix))
-            solver.declare_all(fresh, Kind.POLY)
-            type_args = tuple(TVar(f) for f in fresh)
-            inst = instantiation_from(prefix, type_args)
-            return inst(body), (
+            body, type_args = solver.instantiate(ty, self.supply)
+            return body, (
                 None if self._no_elab else elab.var(term.name, ty, type_args)
             )
 
@@ -389,18 +385,20 @@ class Inferencer:
         if self.strategy == ELIMINATOR and isinstance(fn_ty, TForall):
             # Eliminator instantiation: a polymorphic term in application
             # position is implicitly instantiated with fresh variables.
-            prefix, body = split_foralls(solver.zonk(fn_ty))
-            fresh = tuple(self.supply.fresh_flexible() for _ in prefix)
-            solver.declare_all(fresh, Kind.POLY)
-            inst = instantiation_from(prefix, [TVar(f) for f in fresh])
-            fn_ty = inst(body)
+            fn_ty, type_args = solver.instantiate(solver.zonk(fn_ty), self.supply)
             if not self._no_elab:
-                fn_p = elab.inst(fn_p, tuple(TVar(f) for f in fresh))
+                fn_p = elab.inst(fn_p, type_args)
 
+        # Figure 16: unify(A, B -> b) for a fresh b.  The name is drawn
+        # even when the function type is already an arrow and b is never
+        # materialised, so fresh names do not depend on the path taken.
         b = self.supply.fresh_flexible()
-        solver.declare(b, Kind.POLY)
-        solver.unify(delta, fn_ty, arrow(arg_ty, TVar(b)), self.supply)
-        result_ty = solver.prune(TVar(b))
+        if isinstance(fn_ty, TCon) and fn_ty.con == ARROW:
+            result_ty = solver.apply_arrow(delta, fn_ty, arg_ty, b, self.supply)
+        else:
+            solver.declare(b, Kind.POLY)
+            solver.unify(delta, fn_ty, arrow(arg_ty, TVar(b)), self.supply)
+            result_ty = solver.prune(TVar(b))
         payload = None if self._no_elab else elab.app(fn_p, arg_p, result_ty)
         return result_ty, payload
 

@@ -102,6 +102,7 @@ from dataclasses import dataclass
 from .kinds import Kind, KindEnv
 from .subst import Subst, _fresh_binder
 from .types import (
+    INTERNING,
     TCon,
     TForall,
     TVar,
@@ -109,6 +110,9 @@ from .types import (
     constructor_arity,
     ftv,
     ftv_set,
+    remember_closed_kinding,
+    split_foralls,
+    tcon_unchecked,
     tvar_unchecked,
 )
 from ..errors import (
@@ -398,6 +402,16 @@ class SolverState:
         self._record(name, image)
 
     def _record(self, name: str, image: Type) -> None:
+        """Store ``name |-> image`` and invalidate the zonk memos.
+
+        The invalidation is part of fuel accounting, not only of
+        correctness: :meth:`zonk` charges one step per store entry it
+        materialises, and an entry marked clean (or a memoised node)
+        costs nothing.  A path that solves a variable without recording
+        it (:meth:`apply_arrow`) must still invalidate as this does, or
+        later zonks would charge less and a budgeted run could run out
+        at a different place.
+        """
         self.store[name] = image
         self.trail.append(name)
         self._clean.clear()
@@ -439,6 +453,11 @@ class SolverState:
         amortised O(1) per solved variable between bindings -- and a
         whole-node memo (``_zonk_memo``, invalidated with ``_clean``)
         makes a *repeated* zonk of the same interned node one dict hit.
+
+        The memos are observable: each store entry materialised costs one
+        fuel step, while a clean entry or a memo hit costs none.  So
+        *when* they are invalidated (:meth:`_record`) decides where a
+        budgeted run runs out, and must not move.
 
         Iterative (explicit work stack): zonking never consumes Python
         stack proportional to type depth, so pathological towers are
@@ -643,6 +662,81 @@ class SolverState:
                 self.zonk(TVar(name))
         return Subst(self.store)
 
+    # -- instantiation and application (Figure 16) -------------------------
+
+    def instantiate(
+        self, ty: Type, supply: NameSupply
+    ) -> tuple[Type, tuple[TVar, ...]]:
+        """Instantiate the quantifier prefix of ``ty`` (already zonked)
+        with fresh POLY flexibles; returns the instantiated body and the
+        type arguments.
+
+        One walk over the body substitutes the fresh variables, skipping
+        subtrees whose cached free variables miss the prefix.  The images
+        are fresh names, so no binder can capture them -- unless the type
+        came from another run's supply and binds a name this supply just
+        drew; that rare case takes the capture-avoiding ``Subst`` path.
+        """
+        prefix, body = split_foralls(ty)
+        fresh = supply.fresh_flexibles(len(prefix))
+        self.declare_all(fresh, Kind.POLY)
+        type_args = tuple(tvar_unchecked(f) for f in fresh)
+        mapping = dict(zip(prefix, type_args))
+        result = _substitute_fresh(body, mapping, fresh)
+        if result is None:
+            result = Subst(mapping).apply(body)
+        return result, type_args
+
+    def apply_arrow(
+        self,
+        delta: KindEnv,
+        fn_ty: TCon,
+        arg_ty: Type,
+        b: str,
+        supply: NameSupply,
+    ) -> Type:
+        """The application rule's ``unify(A1 -> A2, B -> b)`` for a
+        function type that is already an arrow, without building
+        ``B -> b``; returns the application's type.
+
+        ``A1`` is unified with ``B`` and the result is ``zonk(A2)``.  The
+        fresh ``b`` is declared and bound only when ``A2`` is still an
+        unsolved flexible (``A2 := b``, as ``unify`` would).  Fuel steps,
+        depth checks and memo invalidation happen where the full
+        unification would make them: for the arrow pair, the pair
+        ``(A2, b)`` and the binding ``b := zonk(A2)``.
+        """
+        depth = self.depth
+        max_depth = self.max_depth
+        # The pair (A1 -> A2, B -> b).
+        if self.fuel is not None:
+            self.spend()
+        if max_depth is not None and depth >= max_depth:
+            raise DepthExceededError(max_depth)
+        domain, codomain = fn_ty.args
+        self._unify(delta, domain, arg_ty, supply, {}, None, None, depth + 1)
+        # The pair (A2, b).
+        if self.fuel is not None:
+            self.spend()
+        if max_depth is not None and depth + 1 >= max_depth:
+            raise DepthExceededError(max_depth)
+        codomain = self.prune(codomain)
+        if isinstance(codomain, TVar) and codomain.name in self.kinds:
+            self.declare(b, Kind.POLY)
+            result = tvar_unchecked(b)
+            self._bind(delta, codomain.name, result)
+            return result
+        # The binding b := zonk(A2): b is fresh, POLY and at the current
+        # level, so only the kinding premise and the memo invalidation
+        # of `_bind`/`_record` remain.
+        if self.fuel is not None:
+            self.spend()
+        image = self.zonk(codomain)
+        self._check_image(delta, b, image, ftv_set(image))
+        self._clean.clear()
+        self._zonk_memo.clear()
+        return image
+
     # -- unification (Figure 15, destructive) --------------------------------
 
     def unify(
@@ -663,7 +757,8 @@ class SolverState:
         # pair stays solved under further bindings, which makes
         # shared-structure (DAG) problems linear.  Keyed by id() pair but
         # storing the nodes as values -- the pins keep the objects alive
-        # so a recycled address can never produce a false hit.
+        # so a recycled address can never produce a false hit.  (Without
+        # interning it is keyed by the nodes, compared structurally.)
         # Unification depth stacks on top of whatever inference depth is
         # live, so the combined guard tracks real interpreter frames.
         self._unify(delta, left, right, supply, {}, None, None, self.depth)
@@ -674,7 +769,7 @@ class SolverState:
         left: Type,
         right: Type,
         supply: NameSupply,
-        done: "dict[tuple[int, int], tuple[Type, Type]]",
+        done: "dict[tuple, tuple[Type, Type]]",
         lmap: "dict[str, str] | None",
         rmap: "dict[str, str] | None",
         depth: int = 0,
@@ -690,6 +785,12 @@ class SolverState:
         #       quantifier scope (Case 5's ``finally`` as a frame).
         stack: list[tuple] = [("u", left, right, depth)]
         max_depth = self.max_depth
+        # Identity stands for structural equality below (the short-cut
+        # and the pair memo).  Without interning, equal types can be
+        # distinct nodes, so the plain mode compares structurally:
+        # otherwise it would walk more pairs, spend more fuel and go
+        # deeper, and a budgeted verdict would depend on interning.
+        plain = not INTERNING
         try:
             while stack:
                 item = stack.pop()
@@ -736,7 +837,7 @@ class SolverState:
                             right = tvar_unchecked(sk)
                 left = self.prune(left)
                 right = self.prune(right)
-                if left is right:
+                if left is right or (plain and left == right):
                     # With interned nodes identity is structural
                     # equality, so the short-circuit fires for *any*
                     # shared closed subtree -- but under asymmetric
@@ -785,7 +886,7 @@ class SolverState:
                         for pair in zip(reversed(left.args), reversed(right.args)):
                             stack.append(("u", pair[0], pair[1], child_depth))
                         continue
-                    key = (id(left), id(right))
+                    key = (left, right) if plain else (id(left), id(right))
                     if key in done:
                         continue
                     stack.append(("done", key, left, right))
@@ -881,22 +982,39 @@ class SolverState:
         del self.kinds[name]
         if kind is Kind.MONO:
             self.demote(free)
-        if isinstance(zty, TVar):
-            # Fast path for variable-to-variable bindings (the most
-            # common case): scope check only, trivially a monotype.
-            n = zty.name
+        mono = self._check_image(delta, name, zty, free)
+        if kind is Kind.MONO and not mono:
+            raise MonomorphismError(name, zty)
+        self._record(name, zty)
+
+    def _check_image(
+        self, delta: KindEnv, name: str, image: Type, free: frozenset[str]
+    ) -> bool:
+        """The kinding premise of binding ``name`` to the zonked
+        ``image`` (whose free variables are ``free``); returns whether
+        the image is a monotype.  A closed image's outcome is memoised
+        on its node, so a closed type is walked once per process, not
+        once per binding."""
+        if isinstance(image, TVar):
+            # Variable-to-variable bindings (the most common case): scope
+            # check only, trivially a monotype.
+            n = image.name
             if n not in self.kinds and n not in delta:
                 raise UnificationError(
-                    TVar(name), zty, f"unbound type variable: {n}"
+                    TVar(name), image, f"unbound type variable: {n}"
                 )
-        else:
-            try:
-                mono = self._check_wf(delta, zty)
-            except KindError as exc:
-                raise UnificationError(TVar(name), zty, str(exc)) from exc
-            if kind is Kind.MONO and not mono:
-                raise MonomorphismError(name, zty)
-        self._record(name, zty)
+            return True
+        if not free:
+            mono = image._kinding
+            if mono is not None:
+                return mono
+        try:
+            mono = self._check_wf(delta, image)
+        except KindError as exc:
+            raise UnificationError(TVar(name), image, str(exc)) from exc
+        if not free:
+            remember_closed_kinding(image, mono)
+        return mono
 
     def _check_wf(self, delta: KindEnv, ty: Type) -> bool:
         """Well-formedness of a binding image (Figure 15's kinding premise).
@@ -935,6 +1053,70 @@ class SolverState:
                 continue
             raise TypeError(f"not a type: {t!r}")
         return mono
+
+
+def _substitute_fresh(
+    ty: Type, mapping: "dict[str, TVar]", fresh: tuple[str, ...]
+) -> "Type | None":
+    """``ty`` with its free occurrences of ``mapping``'s keys replaced
+    by their images, the fresh variables ``fresh``.
+
+    Iterative (explicit work stack), and node-reusing: a subtree whose
+    cached free variables miss the mapping is kept as is.  Inner binders
+    shadow the mapping.  Returns ``None`` if a binder has one of the
+    fresh names, which could capture an image.
+    """
+    vals: list[Type] = []
+    frames: list[tuple] = [(0, ty, mapping)]
+    while frames:
+        frame = frames.pop()
+        op = frame[0]
+        if op == 0:
+            _, t, m = frame
+            if isinstance(t, TVar):
+                vals.append(m.get(t.name, t))
+                continue
+            free = t._ftv
+            if free is not None and m.keys().isdisjoint(free):
+                vals.append(t)
+                continue
+            if isinstance(t, TCon):
+                args = t.args
+                if not args:  # (the combine step's vals[-0:] is all of vals)
+                    vals.append(t)
+                    continue
+                frames.append((1, t))
+                for a in reversed(args):
+                    frames.append((0, a, m))
+                continue
+            if isinstance(t, TForall):
+                var = t.var
+                if var in fresh:
+                    return None
+                if var in m:
+                    m = {k: v for k, v in m.items() if k != var}
+                    if not m:
+                        vals.append(t)
+                        continue
+                frames.append((2, t))
+                frames.append((0, t.body, m))
+                continue
+            raise TypeError(f"not a type: {t!r}")
+        t = frame[1]
+        if op == 1:
+            n = len(t.args)
+            new_args = vals[-n:]
+            del vals[-n:]
+            for a, w in zip(t.args, new_args):
+                if w is not a:
+                    vals.append(tcon_unchecked(t.con, tuple(new_args)))
+                    break
+            else:
+                vals.append(t)
+        else:
+            new_body = vals.pop()
+            vals.append(t if new_body is t.body else TForall(t.var, new_body))
+    return vals[-1]
 
 
 _EMPTY_SET: frozenset[str] = frozenset()

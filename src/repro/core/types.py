@@ -294,7 +294,7 @@ class TVar(Type):
 class TCon(Type):
     """A fully applied type constructor ``D A1 ... An``."""
 
-    __slots__ = ("con", "args", "_ftv")
+    __slots__ = ("con", "args", "_ftv", "_kinding")
 
     def __new__(cls, con: str, args: "tuple[Type, ...]" = ()) -> "TCon":
         if type(args) is not tuple:
@@ -316,7 +316,7 @@ class TCon(Type):
 class TForall(Type):
     """A universally quantified type ``forall a. A``."""
 
-    __slots__ = ("var", "body", "_ftv")
+    __slots__ = ("var", "body", "_ftv", "_kinding")
 
     def __new__(cls, var: str, body: Type) -> "TForall":
         if INTERNING:
@@ -330,6 +330,7 @@ class TForall(Type):
         _SETATTR(t, "var", var)
         _SETATTR(t, "body", body)
         _SETATTR(t, "_ftv", None)
+        _SETATTR(t, "_kinding", None)
         _SETATTR(t, "_hash", hash((var, body)) ^ _H_TFORALL)
         if INTERNING:
             ref = _Ref(t, _tforall_remove)
@@ -356,6 +357,7 @@ def _new_tcon(con: str, args: "tuple[Type, ...]") -> TCon:
     _SETATTR(t, "con", con)
     _SETATTR(t, "args", args)
     _SETATTR(t, "_ftv", None)
+    _SETATTR(t, "_kinding", None)
     _SETATTR(t, "_hash", hash((con, args)) ^ _H_TCON)
     if INTERNING:
         ref = _Ref(t, _tcon_remove)
@@ -567,6 +569,20 @@ def ftv_peek(ty: Type) -> frozenset[str] | None:
     if isinstance(ty, TVar):
         return frozenset((ty.name,))
     return ty._ftv
+
+
+def remember_closed_kinding(ty: "TCon | TForall", mono: bool) -> None:
+    """Memoise that the *closed* node ``ty`` is well formed, and whether
+    it is a monotype, on the node itself (the ``_kinding`` slot, ``None``
+    until then).
+
+    A closed type's scope/arity check depends on nothing but the
+    constructor table, and a declared arity never changes, so a success
+    stays valid for the node's lifetime; like ``_ftv``, the slot is shared
+    by every owner of an interned node and pins nothing.  Failures are
+    not memoised: a constructor unknown today may be declared later.
+    """
+    _SETATTR(ty, "_kinding", mono)
 
 
 def occurs(name: str, ty: Type) -> bool:

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 from ..core.env import TypeEnv
 from ..core.infer import Inferencer, normalise_type
-from ..core.kinds import Kind, KindEnv
-from ..core.subst import instantiation_from
+from ..core.kinds import KindEnv
 from ..core.terms import (
     FrozenVar,
     Term,
@@ -34,7 +33,7 @@ from ..core.terms import (
     match_generalise,
     match_generalise_ann,
 )
-from ..core.types import TForall, TVar, Type, split_foralls
+from ..core.types import TForall, Type
 
 
 @dataclass(frozen=True, repr=False, slots=True)
@@ -69,12 +68,10 @@ class PervasiveInferencer(Inferencer):
         if not isinstance(head, TForall):
             return ty, payload
 
-        prefix, body = split_foralls(self.solver.zonk(head))
-        fresh = tuple(self.supply.fresh_flexible() for _ in prefix)
-        self.solver.declare_all(fresh, Kind.POLY)
-        inst = instantiation_from(prefix, [TVar(f) for f in fresh])
-        payload = self.elaborator.inst(payload, tuple(TVar(f) for f in fresh))
-        return inst(body), payload
+        body, type_args = self.solver.instantiate(
+            self.solver.zonk(head), self.supply
+        )
+        return body, self.elaborator.inst(payload, type_args)
 
     @staticmethod
     def _keeps_quantifiers(term: Term) -> bool:
@@ -105,7 +102,7 @@ def infer_type_pervasive(
     env = env or TypeEnv.empty()
     delta = delta or KindEnv.empty()
     inferencer = PervasiveInferencer(**options)
-    _theta, _subst, ty, _payload = inferencer.infer(
-        delta, KindEnv.empty(), env, term
-    )
+    # Private env copy: infer_node extends it by push/pop mutation.
+    ty, _payload = inferencer.infer_node(delta, env.copy_for_mutation(), term)
+    ty = inferencer.solver.zonk(ty)
     return normalise_type(ty) if normalise else ty

@@ -78,7 +78,7 @@ def infer_type_vta(
     env = env or TypeEnv.empty()
     delta = delta or KindEnv.empty()
     inferencer = TypeApplicationInferencer(**options)
-    _theta, _subst, ty, _payload = inferencer.infer(
-        delta, KindEnv.empty(), env, term
-    )
+    # Private env copy: infer_node extends it by push/pop mutation.
+    ty, _payload = inferencer.infer_node(delta, env.copy_for_mutation(), term)
+    ty = inferencer.solver.zonk(ty)
     return normalise_type(ty) if normalise else ty

@@ -39,10 +39,17 @@ class NameSupply:
     One supply is used per inference run; since every generated name embeds
     a counter value that is never reused, generated names are globally
     unique within a run.
+
+    Skolems count on their own.  Unification skips a quantifier pair
+    that is one shared node, and whether two equal types are one node
+    depends on interning; drawing skolems from the flexible counter
+    would let that choice renumber every later flexible name (and so
+    the ``%N`` names in error messages).
     """
 
     def __init__(self, prefix: str = "") -> None:
         self._counter = itertools.count(1)
+        self._skolems = itertools.count(1)
         self._prefix = prefix
 
     def fresh_flexible(self, hint: str = "") -> str:
@@ -63,7 +70,7 @@ class NameSupply:
 
     def fresh_skolem(self) -> str:
         """Return a fresh rigid skolem name."""
-        return f"{SKOLEM_PREFIX}{self._prefix}{next(self._counter)}"
+        return f"{SKOLEM_PREFIX}{self._prefix}{next(self._skolems)}"
 
     def fresh_term_var(self) -> str:
         """Return a fresh term variable name (for desugaring $ and @)."""

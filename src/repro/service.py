@@ -22,7 +22,9 @@ Design
 
 * **Parent-side cache.**  Results are cached under a key derived from
   the exact source bytes, the engine, the strategy, the value
-  restriction, the budget and a fingerprint of the type environment.
+  restriction, the budget, the lint flag, a fingerprint of the type
+  environment and the package version (a durable cache written by one
+  release must not answer for another, whose verdict bytes may differ).
   The source is deliberately *not* whitespace-normalised: diagnostics
   encode ``line:column`` spans (even a trailing newline moves an at-EOF
   parse error from ``1:9`` to ``2:1``) and results echo the source
@@ -458,6 +460,9 @@ class TypecheckService:
         self.stats = ServiceStats()
         self._session = self.config.build()  # validates config eagerly
         self._fingerprint = env_fingerprint(self._session)
+        from . import __version__  # deferred: the package imports us
+
+        self._version = __version__
         self._cache: dict[str, Result] = {}
         self._owns_persistent = persistent_cache is not None and not isinstance(
             persistent_cache, PersistentCache
@@ -556,8 +561,11 @@ class TypecheckService:
         the echoed ``source`` field depend on the precise text, so even
         trailing-whitespace variants must not share a cached result (see
         the module docstring).  The budget contributes too -- a fuel
-        verdict is only valid for the limit that produced it.  The fault
-        plan does *not*: it perturbs serving, never the verdict."""
+        verdict is only valid for the limit that produced it.  So does
+        the package version: a release may change verdict bytes (fresh
+        variable numbering, say), and the durable tier outlives the
+        process.  The fault plan does *not*: it perturbs serving, never
+        the verdict."""
         digest = hashlib.sha256()
         for part in (
             source,
@@ -568,6 +576,7 @@ class TypecheckService:
             str(self.config.max_depth),
             str(self.config.lint),
             self._fingerprint,
+            self._version,
         ):
             digest.update(part.encode())
             digest.update(b"\x00")

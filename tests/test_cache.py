@@ -324,6 +324,27 @@ class TestServiceIntegration:
             before.pop("duration_ms", None)
             assert before == after
 
+    def test_entry_from_another_version_is_a_miss(self, tmp_path, monkeypatch):
+        # A release may change verdict bytes (fresh-name numbering in
+        # error messages, say); the durable tier outlives the process,
+        # so an entry written by another version must never answer.
+        import repro
+
+        path = tmp_path / "v.sqlite"
+        monkeypatch.setattr(repro, "__version__", "0.0.0-other")
+        with TypecheckService(
+            SessionConfig(), persistent_cache=str(path)
+        ) as service:
+            service.check("auto id")
+            assert len(service.persistent_cache) == 1
+        monkeypatch.undo()
+        with TypecheckService(
+            SessionConfig(), persistent_cache=str(path)
+        ) as service:
+            assert not service.check("auto id").cached
+            assert service.stats.persistent_hits == 0
+            assert service.stats.misses == 1
+
     def test_serial_and_pooled_share_the_same_bytes(self, tmp_path):
         path = tmp_path / "v.sqlite"
         sources = ["poly ~id", "auto id"]

@@ -218,3 +218,50 @@ class TestEscapeHatch:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+    def test_error_names_identical_without_interning(self):
+        """Fresh-name numbering in error messages does not depend on
+        interning.  In these programs unification meets quantifier
+        pairs that are one shared node only when interned; skolems drawn
+        from the flexible counter used to renumber every later ``%N``.
+        The golden bytes pin the numbering itself too."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        files = ["tests/golden/planted_1_27.fml", "tests/golden/planted_1_33.fml"]
+        with open(os.path.join(root, "tests/golden/planted_names.json")) as fh:
+            golden = fh.read()
+        for no_intern in ("0", "1"):
+            env = dict(os.environ, REPRO_NO_INTERN=no_intern, PYTHONPATH="src")
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "check", *files, "--json"],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=root,
+            )
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stdout == golden, f"REPRO_NO_INTERN={no_intern}"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["examples/poly_id.fml", "--max-depth", "3"],
+            ["tests/golden/budget_chain.fml", "--fuel", "169", "--max-depth", "14"],
+        ],
+    )
+    def test_budget_verdicts_identical_without_interning(self, args):
+        """Where a budgeted check runs out does not depend on interning:
+        without it, equal types are distinct nodes, and unification must
+        still treat them as equal rather than walk (and pay for) them."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outs = []
+        for no_intern in ("0", "1"):
+            env = dict(os.environ, REPRO_NO_INTERN=no_intern, PYTHONPATH="src")
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "check", *args, "--json"],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=root,
+            )
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]

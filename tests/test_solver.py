@@ -184,3 +184,64 @@ class TestUnifyInPlace:
         s = solver(x="poly")
         with pytest.raises(UnificationError):
             s.unify(EMPTY_DELTA, TVar("x"), TCon("NoSuchCon", ()))
+
+
+class TestInstantiateAndApply:
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            "forall a. a -> a",
+            "forall a b. (Int -> a) -> List b -> a * Bool",
+            "forall a. List (forall a. a -> a) -> a",
+            "forall a. (forall b. b -> a) -> Int",
+        ],
+    )
+    def test_instantiate_matches_substitution(self, scheme):
+        from repro.core.subst import Subst
+        from repro.core.types import split_foralls
+        from repro.names import NameSupply
+
+        s = SolverState()
+        body, args = s.instantiate(t(scheme), NameSupply())
+        prefix, raw = split_foralls(t(scheme))
+        assert body == Subst(dict(zip(prefix, args)))(raw)
+        assert all(s.kinds[a.name] is Kind.POLY for a in args)
+
+    def test_instantiate_avoids_capture_by_a_binder_with_a_fresh_name(self):
+        # A type from another run may bind a name this supply draws.
+        from repro.names import NameSupply
+
+        scheme = TForall("%2", list_of(TForall("%1", arrow(TVar("%1"), TVar("%2")))))
+        body, (arg,) = SolverState().instantiate(scheme, NameSupply())
+        assert arg == TVar("%1")
+        expected = list_of(TForall("c", arrow(TVar("c"), TVar("%1"))))
+        assert alpha_equal(body, expected)
+
+    def test_apply_arrow_returns_the_zonked_codomain(self):
+        from repro.names import NameSupply
+
+        s = solver(a="poly")
+        ty = s.apply_arrow(EMPTY_DELTA, t("a -> List a"), INT, "b", NameSupply())
+        assert ty == list_of(INT)
+        assert "b" not in s.kinds and "b" not in s.store
+
+    def test_apply_arrow_binds_an_unsolved_codomain_to_the_result(self):
+        from repro.names import NameSupply
+
+        s = solver(r="mono")
+        ty = s.apply_arrow(EMPTY_DELTA, t("Int -> r"), INT, "b", NameSupply())
+        assert ty == TVar("b")
+        assert s.store["r"] == TVar("b")
+        assert s.kinds["b"] is Kind.MONO  # demoted through r's binding
+
+    def test_closed_image_kinding_is_memoised_on_success_only(self):
+        image = list_of(t("forall a. a -> a"))
+        s = solver(x="poly")
+        s.unify(EMPTY_DELTA, TVar("x"), image)
+        assert image._kinding is False  # well formed, not a monotype
+        with pytest.raises(MonomorphismError):
+            solver(y="mono").unify(EMPTY_DELTA, TVar("y"), image)
+        bad = TCon("NotDeclaredYet", ())
+        with pytest.raises(UnificationError):
+            solver(z="poly").unify(EMPTY_DELTA, TVar("z"), bad)
+        assert bad._kinding is None
